@@ -81,9 +81,10 @@ class BufferPool {
   // Per-bucket count cap. Deliberately generous: an autograd step keeps its
   // whole graph (often thousands of small tensors) live until backward
   // finishes, and a bucket must absorb that peak for the next step to run
-  // allocation-free. Cached memory stays bounded regardless — every cached
-  // buffer was live at some point, so the pool never holds more than the
-  // historic peak working set. Clear() trims it explicitly.
+  // allocation-free. Only buffers of exactly a bucket's capacity are
+  // cached, so every cached buffer can serve every request routed to its
+  // bucket; still, the cache holds up to this many buffers per bucket until
+  // Clear() trims it.
   static constexpr size_t kMaxBuffersPerBucket = 4096;
 
  private:
@@ -91,8 +92,8 @@ class BufferPool {
   // Smallest bucket whose capacity holds `n` floats, or -1 when n exceeds
   // the largest bucket (the request bypasses the pool).
   static int BucketForRequest(size_t n);
-  // Largest bucket whose capacity is <= `capacity` — any cached buffer in
-  // bucket b can serve any request routed to b. -1 for tiny buffers.
+  // The bucket whose capacity is exactly `capacity`, or -1 when there is
+  // none (the buffer is freed instead of cached).
   static int BucketForCapacity(size_t capacity);
 
   mutable common::Mutex mutex_;

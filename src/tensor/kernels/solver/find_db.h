@@ -19,13 +19,13 @@
 //                  u8 op, u8 bm, u8 bk, u8 bn       (ProblemKey)
 //                  u16 id_len, id bytes             (winning solver id)
 //                  f64 best_ns_per_elem             (winner's tuned timing)
-//                  f64 default_ns_per_elem          (default solver's timing)
+//                  f64 default_ns_per_elem          (static choice's timing)
 //   end-4  4     u32 CRC32 over every preceding byte
 //
 // Integers and doubles are host-endian (the cache describes *this*
 // machine; it is not a portable artifact). Any structural defect —
 // truncation, bad magic, version skew, checksum mismatch, trailing bytes —
-// makes Load return an error; the registry then runs on default solvers.
+// makes Load return an error; the registry then runs on static choices.
 
 namespace desalign::tensor::kernels::solver {
 

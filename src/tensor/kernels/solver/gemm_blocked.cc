@@ -49,14 +49,19 @@ void MicroScalar(const float* ap, const float* bp, float* c, int64_t ldc,
 }
 
 // Packs a (rows x kc) slice of `a` (row stride lda) into ap[p*rows + r].
-void PackATile(const float* a, int64_t lda, int64_t rows, int64_t kc,
+// Returns whether the slice holds a zero (+0.0 or -0.0): only such a tile
+// needs the zero-skip kernels, since the skip never fires on any other.
+bool PackATile(const float* a, int64_t lda, int64_t rows, int64_t kc,
                float* ap) {
+  bool has_zero = false;
   for (int64_t r = 0; r < rows; ++r) {
     const float* arow = a + r * lda;
     for (int64_t p = 0; p < kc; ++p) {
       ap[p * rows + r] = arow[p];
+      has_zero |= arow[p] == 0.0f;
     }
   }
+  return has_zero;
 }
 
 // Packs a (kc x nc) slice of `b` (row stride ldb) into kNr-wide micro
@@ -114,7 +119,9 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
             for (int64_t t = tile_begin; t < tile_end; ++t) {
               const int64_t i0 = t * kMr;
               const int64_t rows = std::min(kMr, m - i0);
-              PackATile(a + i0 * k + pc, k, rows, kc, apack.data());
+              const bool skip =
+                  PackATile(a + i0 * k + pc, k, rows, kc, apack.data()) &&
+                  skip_zero_a;
               for (int64_t q = 0; q < col_panels; ++q) {
                 const int64_t j0 = q * kNr;
                 const int64_t cols = std::min(kNr, nc - j0);
@@ -123,10 +130,10 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
 #if DESALIGN_KERNELS_HAVE_AVX2
                 if (use_avx2 && rows == kMr && cols == kNr) {
                   detail::MicroKernel8x8Avx2(apack.data(), bp, ctile, n, kc,
-                                             skip_zero_a);
+                                             skip);
                 } else
 #endif
-                if (skip_zero_a) {
+                if (skip) {
                   MicroScalar<true>(apack.data(), bp, ctile, n, kc, rows,
                                     cols);
                 } else {

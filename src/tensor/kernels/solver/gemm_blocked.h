@@ -6,7 +6,7 @@
 #include "tensor/kernels/dispatch.h"
 
 // Cache-blocked, panel-packed GEMM — the first solver added on top of the
-// registry's row-axpy default. Classic MC/KC/NC structure: B is packed one
+// registry's row-axpy kernels. Classic MC/KC/NC structure: B is packed one
 // (KC x NC) panel at a time into column-major-of-8 micro-panels, rows are
 // partitioned into 8-row tiles (the MC direction doubles as the parallel
 // grain), each tile packs its (8 x KC) slice of A, and an 8x8 microkernel
@@ -21,7 +21,10 @@
 // the accumulation chain is untouched: KC blocks advance the reduction
 // index in ascending order with the running sum held in C (or in the
 // register tile mid-block), every term is a separate round(mul)+round(add),
-// and the reference's skip of zero a-elements is reproduced term-for-term.
+// and the reference's skip of zero a-elements is reproduced term-for-term:
+// a packed A tile that holds a zero runs a kernel that blends the skipped
+// terms away, and any other tile runs the plain kernel, where the skip
+// could never fire.
 
 namespace desalign::tensor::kernels::solver::blocked {
 

@@ -22,6 +22,13 @@ namespace desalign::tensor::kernels::solver::blocked::detail {
 
 namespace {
 
+// kSkipZeroA keeps the reference's skip of zero a-elements without a
+// branch: the sum is formed for every row and a blend puts the old
+// accumulator back where a[r,p] == 0 (EQ_OQ: +0.0 and -0.0 compare equal,
+// NaN does not), so a skipped term leaves the accumulator's bits untouched
+// even when b holds Inf/NaN. A branch per element mispredicts on
+// ReLU-like data. Tiles with no zero run the plain kernel, which is the
+// same chain because the skip never fires there.
 template <bool kSkipZeroA>
 inline void Micro8x8(const float* __restrict__ ap,
                      const float* __restrict__ bp, float* __restrict__ c,
@@ -37,16 +44,18 @@ inline void Micro8x8(const float* __restrict__ ap,
   __m256 acc5 = _mm256_loadu_ps(c + 5 * ldc);
   __m256 acc6 = _mm256_loadu_ps(c + 6 * ldc);
   __m256 acc7 = _mm256_loadu_ps(c + 7 * ldc);
+  const __m256 zero = _mm256_setzero_ps();
   for (int64_t p = 0; p < kc; ++p) {
     const __m256 bv = _mm256_loadu_ps(bp + p * 8);
     const float* acol = ap + p * 8;
-#define DESALIGN_GEMM_ROW(R)                                             \
-  do {                                                                   \
-    const float av = acol[R];                                            \
-    if (!kSkipZeroA || av != 0.0f) {                                     \
-      acc##R = _mm256_add_ps(acc##R,                                     \
-                             _mm256_mul_ps(_mm256_set1_ps(av), bv));     \
-    }                                                                    \
+#define DESALIGN_GEMM_ROW(R)                                               \
+  do {                                                                     \
+    const __m256 av = _mm256_broadcast_ss(acol + (R));                     \
+    const __m256 sum = _mm256_add_ps(acc##R, _mm256_mul_ps(av, bv));       \
+    acc##R = kSkipZeroA ? _mm256_blendv_ps(                                \
+                              sum, acc##R,                                 \
+                              _mm256_cmp_ps(av, zero, _CMP_EQ_OQ))         \
+                        : sum;                                             \
   } while (false)
     DESALIGN_GEMM_ROW(0);
     DESALIGN_GEMM_ROW(1);

@@ -34,9 +34,9 @@ GemmProblem GemmProblem::Current(GemmOp op, int64_t m, int64_t k, int64_t n) {
 
 namespace {
 
-// The pre-registry kernels (gemm.cc's row-axpy loop nests), wrapped as the
-// fixed default solver. Applicable everywhere; its Estimate is the baseline
-// the others are priced against.
+// The pre-registry kernels (gemm.cc's row-axpy loop nests). Applicable
+// everywhere, so the static choice always exists; its Estimate is the
+// baseline the others are priced against.
 class RowAxpySolver : public GemmSolver {
  public:
   const char* id() const override { return "gemm.rowaxpy"; }
@@ -71,8 +71,9 @@ class BlockedGemmSolver : public GemmSolver {
   bool IsApplicable(const GemmProblem&) const override { return true; }
 
   double Estimate(const GemmProblem& p) const override {
-    // Packing overhead dominates until the reduction is long enough for
-    // the register-resident C tile to pay for itself.
+    // Packing and 8-wide tile edges dominate while any dimension is short
+    // (n == 1 leaves seven of eight lanes idle); past that, the
+    // register-resident C tile pays for itself.
     const int64_t inner = std::min(p.m, std::min(p.k, p.n));
     return inner < 32 ? 0.50 : 0.05;
   }
@@ -111,11 +112,14 @@ SolverRegistry::SolverRegistry()
           obs::MetricsRegistry::Global().GetCounter("tensor.solver.fallback")),
       cache_errors_(obs::MetricsRegistry::Global().GetCounter(
           "tensor.solver.cache_errors")) {
-  // Registration order is the deterministic tie-break everywhere; the
-  // default solver must be first (DefaultSolver() is front()).
+  // Registration order is the deterministic tie-break everywhere.
   static RowAxpySolver row_axpy;
   static BlockedGemmSolver blocked;
   solvers_ = {&row_axpy, &blocked};
+  for (const GemmSolver* s : solvers_) {
+    ran_.push_back(&obs::MetricsRegistry::Global().GetCounter(
+        std::string("tensor.solver.ran.") + s->id()));
+  }
 }
 
 const GemmSolver* SolverRegistry::FindById(const std::string& id) const {
@@ -136,6 +140,10 @@ std::vector<const GemmSolver*> SolverRegistry::Applicable(
                      return a->Estimate(p) < b->Estimate(p);
                    });
   return out;
+}
+
+const GemmSolver* SolverRegistry::StaticChoice(const GemmProblem& p) const {
+  return Applicable(p).front();
 }
 
 void SolverRegistry::EnsureCacheLoadedLocked() {
@@ -169,7 +177,15 @@ const GemmSolver* SolverRegistry::Select(const GemmProblem& p) {
     }
   }
   fallback_.Increment();
-  return DefaultSolver();
+  return StaticChoice(p);
+}
+
+void SolverRegistry::Dispatch(const GemmProblem& p, const float* in1,
+                              const float* in2, float* out) {
+  const GemmSolver* s = Select(p);
+  const auto it = std::find(solvers_.begin(), solvers_.end(), s);
+  ran_[static_cast<size_t>(it - solvers_.begin())]->Increment();
+  s->Run(p, in1, in2, out);
 }
 
 common::Status SolverRegistry::ReloadCache(const std::string& path) {
@@ -198,8 +214,8 @@ int64_t SolverRegistry::CacheSize() const {
 
 void DispatchGemm(GemmOp op, const float* in1, const float* in2, float* out,
                   int64_t m, int64_t k, int64_t n) {
-  const GemmProblem p = GemmProblem::Current(op, m, k, n);
-  SolverRegistry::Global().Select(p)->Run(p, in1, in2, out);
+  SolverRegistry::Global().Dispatch(GemmProblem::Current(op, m, k, n), in1,
+                                    in2, out);
 }
 
 }  // namespace desalign::tensor::kernels::solver

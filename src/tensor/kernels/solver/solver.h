@@ -12,12 +12,13 @@
 #include "tensor/kernels/solver/find_db.h"
 
 // GEMM solver registry, MIOpen-style: several interchangeable
-// implementations per op, each declaring IsApplicable/Estimate, with the
-// winner per (op, shape-bucket) chosen *offline* by `desalign tune` and
-// persisted to a find-db file. Runtime dispatch only replays that cache —
-// it never times anything — so kernel selection is a pure function of the
-// tuning file on disk plus the problem shape, and therefore deterministic
-// across thread counts, ISA levels and runs.
+// implementations per op, each declaring IsApplicable/Estimate. Runtime
+// dispatch replays the winner per (op, shape-bucket) that `desalign tune`
+// chose offline and persisted to a find-db file; without a usable record
+// it takes the static choice, the applicable solver with the lowest
+// Estimate. It never times anything, so kernel selection is a pure
+// function of the tuning file on disk plus the problem shape, and
+// therefore deterministic across thread counts, ISA levels and runs.
 //
 // Every registered solver is bit-identical to kernels/reference.cc (the
 // docs/PERFORMANCE.md contract), so which solver the cache picks can only
@@ -76,9 +77,9 @@ class GemmSolver {
   /// so that cache replay selects identically in every environment.
   virtual bool IsApplicable(const GemmProblem& p) const = 0;
 
-  /// Rough prior in ns per logical element (m·k·n), used only to order
-  /// tuning candidates and break exact timing ties deterministically. Never
-  /// consulted by runtime selection.
+  /// Rough prior in ns per logical element (m·k·n). Orders the tuner's
+  /// candidates and makes the static choice on a find-db miss, so it must
+  /// depend only on (p.op, p.m, p.k, p.n), never on p.isa or p.threads.
   virtual double Estimate(const GemmProblem& p) const = 0;
 
   virtual void Run(const GemmProblem& p, const float* in1, const float* in2,
@@ -94,39 +95,45 @@ class SolverRegistry {
  public:
   static SolverRegistry& Global();
 
-  /// All registered solvers, in registration order (deterministic; the
-  /// default solver is first).
+  /// All registered solvers, in registration order (deterministic; it
+  /// breaks Estimate ties).
   const std::vector<const GemmSolver*>& Solvers() const { return solvers_; }
 
   /// nullptr when no solver carries `id` (e.g. a find-db written by a newer
   /// build).
   const GemmSolver* FindById(const std::string& id) const;
 
-  /// The fixed fallback: the row-axpy kernels that predate the registry.
-  /// Applicable to every problem, so Select can never fail.
-  const GemmSolver* DefaultSolver() const { return solvers_.front(); }
-
   /// Solvers whose IsApplicable(p) holds, ordered by Estimate(p) ascending
   /// (ties broken by registration order). This is the tuner's candidate
-  /// list; runtime selection does not use it.
+  /// list; its first entry is StaticChoice(p).
   std::vector<const GemmSolver*> Applicable(const GemmProblem& p) const;
 
-  /// Runtime selection: replay the find-db cache, nothing else. On the
-  /// first call the cache is lazily loaded from FindDbPath() (a missing
-  /// file is normal — an untuned machine — and simply leaves the cache
-  /// empty; a corrupt file counts tensor.solver.cache_errors and is treated
-  /// as empty). A cache hit whose solver id is unknown or inapplicable, or
-  /// any miss, falls back to DefaultSolver(). Never returns nullptr and
-  /// never measures anything.
+  /// The applicable solver with the lowest Estimate(p), ties to the earlier
+  /// registered one: what runs when the find-db has no usable record.
+  /// The row-axpy solver is applicable everywhere, so this never fails.
+  const GemmSolver* StaticChoice(const GemmProblem& p) const;
+
+  /// Runtime selection: replay the find-db cache, else the static choice.
+  /// On the first call the cache is lazily loaded from FindDbPath() (a
+  /// missing file is normal — an untuned machine — and simply leaves the
+  /// cache empty; a corrupt file counts tensor.solver.cache_errors and is
+  /// treated as empty). A miss, or a hit whose solver id is unknown or
+  /// inapplicable, counts tensor.solver.fallback and returns
+  /// StaticChoice(p). Never returns nullptr and never measures anything.
   const GemmSolver* Select(const GemmProblem& p);
 
+  /// Select, then Run, counting tensor.solver.ran.<id> for the solver that
+  /// did the work.
+  void Dispatch(const GemmProblem& p, const float* in1, const float* in2,
+                float* out);
+
   /// Replaces the cache with the contents of `path`. On any load error the
-  /// cache is cleared (dispatch falls back to defaults), cache_errors is
+  /// cache is cleared (dispatch takes static choices), cache_errors is
   /// incremented, and the error is returned; the process never aborts on a
   /// bad tuning file.
   common::Status ReloadCache(const std::string& path);
 
-  /// Empties the cache (every Select falls back to the default solver) and
+  /// Empties the cache (every Select takes the static choice) and
   /// suppresses the lazy default-path load. Tests use this for hermetic
   /// counter assertions.
   void ClearCache();
@@ -140,7 +147,9 @@ class SolverRegistry {
   void EnsureCacheLoadedLocked() REQUIRES(mutex_);
 
   // Immutable after construction — safe to read without the lock.
+  // ran_[i] counts dispatches that ran solvers_[i].
   std::vector<const GemmSolver*> solvers_;
+  std::vector<obs::Counter*> ran_;
 
   mutable common::Mutex mutex_;
   FindDb cache_ GUARDED_BY(mutex_);
@@ -154,7 +163,7 @@ class SolverRegistry {
 };
 
 /// The dispatch path the public gemm kernels call: builds the problem for
-/// the current environment, Selects, Runs.
+/// the current environment and Dispatches it through the global registry.
 void DispatchGemm(GemmOp op, const float* in1, const float* in2, float* out,
                   int64_t m, int64_t k, int64_t n);
 

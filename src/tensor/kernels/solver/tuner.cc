@@ -122,7 +122,7 @@ common::Result<TuneReport> RunTune(const TuneOptions& options) {
       entry.key = ProblemKey::FromProblem(problem);
 
       double best_ns = std::numeric_limits<double>::infinity();
-      double default_ns = 0.0;
+      double default_ns = 0.0;  // the static choice: what an untuned run gets
       // Candidates come Estimate-ordered; strict < keeps the earlier
       // candidate on an exact tie, so reruns pick the same winner.
       for (const GemmSolver* s : registry.Applicable(problem)) {
@@ -134,7 +134,7 @@ common::Result<TuneReport> RunTune(const TuneOptions& options) {
           best_ns = ns;
           entry.winner = s->id();
         }
-        if (s == registry.DefaultSolver()) default_ns = ns;
+        if (s == registry.StaticChoice(problem)) default_ns = ns;
       }
 
       FindDbRecord record;

@@ -245,6 +245,62 @@ TEST(DeterminismTest, TunedCacheDoesNotChangeTrainingOutput) {
   ExpectBitExact(untuned.similarity, tuned.similarity, "decoded similarity");
 }
 
+// Without a find-db, selection is the static choice: a function of
+// (op, m, k, n) alone. At every GEMM shape the pipeline benchmark
+// dispatches (training at 2000 entities plus the decode sweep), it must
+// pick the same solver at every thread count and ISA level.
+TEST(DeterminismTest, StaticSolverChoiceIgnoresThreadsAndIsa) {
+  namespace solver = tensor::kernels::solver;
+  auto& registry = solver::SolverRegistry::Global();
+  registry.ClearCache();
+  struct Shape {
+    solver::GemmOp op;
+    int64_t m, k, n;
+  };
+  const auto fwd = solver::GemmOp::kMatMul;
+  const auto grad_a = solver::GemmOp::kMatMulGradA;
+  const auto grad_b = solver::GemmOp::kMatMulGradB;
+  const Shape shapes[] = {
+      {fwd, 1600, 128, 1600},  {fwd, 400, 128, 400},   {fwd, 400, 32, 400},
+      {fwd, 4000, 32, 32},     {fwd, 4000, 42, 32},    {fwd, 4000, 48, 32},
+      {fwd, 4000, 84, 32},     {fwd, 30628, 16, 1},    {grad_a, 400, 128, 400},
+      {grad_a, 400, 32, 400},  {grad_a, 4000, 32, 32}, {grad_a, 30628, 16, 1},
+      {grad_b, 400, 128, 400}, {grad_b, 400, 32, 400}, {grad_b, 4000, 32, 32},
+      {grad_b, 4000, 42, 32},  {grad_b, 4000, 48, 32}, {grad_b, 4000, 84, 32},
+      {grad_b, 30628, 16, 1},
+  };
+  const tensor::kernels::IsaLevel levels[] = {
+      tensor::kernels::IsaLevel::kScalar, tensor::kernels::IsaLevel::kAvx2};
+  for (const Shape& shape : shapes) {
+    const std::string expected =
+        registry
+            .Select(solver::GemmProblem{shape.op, shape.m, shape.k, shape.n,
+                                        tensor::kernels::IsaLevel::kScalar,
+                                        1})
+            ->id();
+    // Single-column GEMMs take row-axpy, every other shape here blocked.
+    EXPECT_EQ(expected, shape.n == 1 ? "gemm.rowaxpy" : "gemm.blocked8x8")
+        << solver::GemmOpName(shape.op) << " " << shape.m << "x" << shape.k
+        << "x" << shape.n;
+    for (const auto isa : levels) {
+      for (const int threads : {1, 2, 4, 8}) {
+        tensor::kernels::SetIsaOverride(isa);
+        common::ThreadPool::SetGlobalThreadCount(threads);
+        const auto p = solver::GemmProblem::Current(shape.op, shape.m,
+                                                    shape.k, shape.n);
+        EXPECT_EQ(registry.Select(p)->id(), expected)
+            << solver::GemmOpName(shape.op) << " " << shape.m << "x"
+            << shape.k << "x" << shape.n << " "
+            << tensor::kernels::IsaName(isa) << " @" << threads
+            << " threads";
+        tensor::kernels::SetIsaOverride(tensor::kernels::IsaLevel::kScalar,
+                                        /*has_override=*/false);
+        common::ThreadPool::SetGlobalThreadCount(0);
+      }
+    }
+  }
+}
+
 TEST(DeterminismTest, DatasetGenerationIsSeedDeterministic) {
   auto a = TinyData(123);
   auto b = TinyData(123);

@@ -78,6 +78,23 @@ TEST(BufferPoolTest, SubBucketExternalBuffersAreDiscarded) {
   EXPECT_EQ(stats.cached_buffers, 0);
 }
 
+TEST(BufferPoolTest, AdoptedBuffersDoNotAccumulate) {
+  // Tensor::FromData adopts caller storage whose capacity is rarely a
+  // bucket capacity. Filed under the bucket below, such a buffer could only
+  // serve smaller requests, so every adopt/destroy cycle would add one more
+  // cached buffer. Repeated cycles must keep the cache bounded.
+  auto& pool = BufferPool::Global();
+  pool.Clear();
+  const int64_t rows = 50, cols = 52;  // 2600 floats: between 2^11 and 2^12
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    std::vector<float> data(static_cast<size_t>(rows * cols), 1.0f);
+    auto t = Tensor::FromData(rows, cols, std::move(data));
+  }
+  // At most the one pooled buffer Tensor creation acquires and releases.
+  EXPECT_LE(pool.GetStats().cached_bytes,
+            static_cast<int64_t>(4096 * sizeof(float)));
+}
+
 TEST(BufferPoolTest, FullBucketDiscardsExtraReleases) {
   BufferPool pool;
   std::vector<std::vector<float>> live;

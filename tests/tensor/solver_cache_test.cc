@@ -167,17 +167,15 @@ TEST_F(SolverCacheTest, TableDrivenCorruptionsRejectedWithNamedErrors) {
         << c.name << ": got " << loaded.status().ToString();
 
     // Each defect also flows through the registry: ReloadCache fails,
-    // counts a cache error, and Select falls back to the default solver.
+    // counts a cache error, and Select takes the static choice.
     WriteFile(path_, corrupt);
     auto& registry = SolverRegistry::Global();
     const int64_t errors0 = CacheErrors();
     EXPECT_FALSE(registry.ReloadCache(path_).ok()) << c.name;
     EXPECT_EQ(CacheErrors(), errors0 + 1) << c.name;
     EXPECT_EQ(registry.CacheSize(), 0) << c.name;
-    EXPECT_EQ(registry.Select(GemmProblem{GemmOp::kMatMul, 64, 64, 64,
-                                          IsaLevel::kScalar, 1}),
-              registry.DefaultSolver())
-        << c.name;
+    const GemmProblem p{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1};
+    EXPECT_EQ(registry.Select(p), registry.StaticChoice(p)) << c.name;
   }
 
   // The pristine bytes still load — the harness itself is sound.
@@ -244,9 +242,8 @@ TEST_F(SolverCacheTest, ReloadAfterGoodThenBadKeepsServingDefaults) {
   WriteFile(path_, "DSFDgarbage");
   EXPECT_FALSE(registry.ReloadCache(path_).ok());
   EXPECT_EQ(registry.CacheSize(), 0);
-  EXPECT_EQ(registry.Select(GemmProblem{GemmOp::kMatMul, 64, 64, 64,
-                                        IsaLevel::kScalar, 1}),
-            registry.DefaultSolver());
+  const GemmProblem p{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1};
+  EXPECT_EQ(registry.Select(p), registry.StaticChoice(p));
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Solver-registry suite (ctest -L solver): every registered GEMM solver
 // must be bit-identical to the serial scalar reference
 // (kernels/reference.cc) across edge shapes x ISA x thread counts, and
-// runtime selection must be pure cache replay — deterministic across
-// environments, falling back to the fixed default solver on any miss,
-// never timing anything online.
+// runtime selection must be cache replay plus a static, shape-only choice
+// on any miss — deterministic across environments, never timing anything
+// online.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -59,13 +61,30 @@ std::string TempPath(const char* name) {
       .string();
 }
 
+// Where the "a" operand (the one whose zero elements the reference skips)
+// holds zeros.
+enum class Zeros {
+  kMixed,       // +0.0 every 5th element, -0.0 every 11th
+  kReluLike,    // about half the elements +0.0, at random
+  kSingle,      // exactly one +0.0
+  kNegative,    // -0.0 every 3rd element, no +0.0
+};
+
+// x86's default NaN, the bit pattern 0 * Inf and Inf - Inf produce. Every
+// NaN in these cases has this payload, so which NaN operand an add
+// propagates cannot differ between two correct kernels.
+float DefaultNaN() { return std::bit_cast<float>(0xFFC00000u); }
+
 // Runs every registered solver on (op, m, k, n) under every ISA x
 // partitioning configuration and memcmps the output bytes against the
 // reference loops. Output buffers are seeded nonzero (including -0.0f) so
 // the grads' accumulate-into-out semantics and the zero-skip subtleties
-// are actually exercised.
+// are actually exercised. With `nonfinite_b`, the other operand also
+// carries +Inf, -Inf and NaN, so a zero a-element that is not skipped
+// turns its output into NaN.
 void ExpectAllSolversBitExact(GemmOp op, int64_t m, int64_t k, int64_t n,
-                              common::Rng& rng) {
+                              common::Rng& rng, Zeros zeros = Zeros::kMixed,
+                              bool nonfinite_b = false) {
   const int64_t in1_len = op == GemmOp::kMatMul ? m * k : m * n;
   const int64_t in2_len = op == GemmOp::kMatMulGradB ? m * k : k * n;
   const int64_t out_len = op == GemmOp::kMatMul
@@ -77,8 +96,30 @@ void ExpectAllSolversBitExact(GemmOp op, int64_t m, int64_t k, int64_t n,
   // reference's zero-skip must be reproduced term-for-term, and -0.0f in
   // the output so a spurious +0.0 add would flip bytes.
   std::vector<float>& a_operand = op == GemmOp::kMatMulGradB ? in2 : in1;
-  for (size_t i = 0; i < a_operand.size(); i += 5) a_operand[i] = 0.0f;
-  for (size_t i = 3; i < a_operand.size(); i += 11) a_operand[i] = -0.0f;
+  switch (zeros) {
+    case Zeros::kMixed:
+      for (size_t i = 0; i < a_operand.size(); i += 5) a_operand[i] = 0.0f;
+      for (size_t i = 3; i < a_operand.size(); i += 11) a_operand[i] = -0.0f;
+      break;
+    case Zeros::kReluLike:
+      for (float& v : a_operand) v = rng.Bernoulli(0.5) ? 0.0f : v;
+      break;
+    case Zeros::kSingle:
+      if (!a_operand.empty()) a_operand[a_operand.size() / 2] = 0.0f;
+      break;
+    case Zeros::kNegative:
+      for (size_t i = 0; i < a_operand.size(); i += 3) a_operand[i] = -0.0f;
+      break;
+  }
+  if (nonfinite_b) {
+    std::vector<float>& b_operand = op == GemmOp::kMatMulGradB ? in1 : in2;
+    const float inf = std::numeric_limits<float>::infinity();
+    for (size_t i = 2; i < b_operand.size(); i += 13) b_operand[i] = inf;
+    for (size_t i = 6; i < b_operand.size(); i += 17) b_operand[i] = -inf;
+    for (size_t i = 9; i < b_operand.size(); i += 29) {
+      b_operand[i] = DefaultNaN();
+    }
+  }
   std::vector<float> base = RandomVec(rng, out_len);
   for (size_t i = 1; i < base.size(); i += 7) base[i] = -0.0f;
 
@@ -126,10 +167,11 @@ void ExpectAllSolversBitExact(GemmOp op, int64_t m, int64_t k, int64_t n,
 }
 
 TEST(SolverRegistryTest, RegistrationOrderAndDefault) {
+  // Registration order is the Estimate tie-break; the row-axpy solver,
+  // applicable everywhere, comes first.
   auto& registry = SolverRegistry::Global();
   ASSERT_GE(registry.Solvers().size(), 2u);
-  EXPECT_STREQ(registry.DefaultSolver()->id(), "gemm.rowaxpy");
-  EXPECT_EQ(registry.Solvers().front(), registry.DefaultSolver());
+  EXPECT_STREQ(registry.Solvers().front()->id(), "gemm.rowaxpy");
   EXPECT_NE(registry.FindById("gemm.blocked8x8"), nullptr);
   EXPECT_EQ(registry.FindById("gemm.nonexistent"), nullptr);
 }
@@ -166,16 +208,37 @@ TEST(SolverRegistryTest, ShapeBucketsAreCeilLog2) {
   EXPECT_EQ(ProblemKey::Bucket(512), 9);
 }
 
-TEST(SolverRegistryTest, EmptyCacheFallsBackToDefaultAndCounts) {
+TEST(SolverRegistryTest, EmptyCacheTakesStaticChoiceAndCounts) {
   auto& registry = SolverRegistry::Global();
   registry.ClearCache();
   const int64_t miss0 = CounterValue("tensor.solver.cache_miss");
   const int64_t fallback0 = CounterValue("tensor.solver.fallback");
-  const auto* s = registry.Select(
-      GemmProblem::Current(GemmOp::kMatMul, 64, 64, 64));
-  EXPECT_EQ(s, registry.DefaultSolver());
-  EXPECT_EQ(CounterValue("tensor.solver.cache_miss"), miss0 + 1);
-  EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 1);
+  // A miss runs the applicable solver with the lowest Estimate: blocked
+  // for a 64^3 cube, row-axpy for a single output column.
+  const GemmProblem cube = GemmProblem::Current(GemmOp::kMatMul, 64, 64, 64);
+  const GemmProblem column =
+      GemmProblem::Current(GemmOp::kMatMul, 4096, 16, 1);
+  EXPECT_STREQ(registry.Select(cube)->id(), "gemm.blocked8x8");
+  EXPECT_STREQ(registry.Select(column)->id(), "gemm.rowaxpy");
+  EXPECT_EQ(registry.Select(cube), registry.Applicable(cube).front());
+  EXPECT_EQ(registry.Select(column), registry.Applicable(column).front());
+  EXPECT_EQ(CounterValue("tensor.solver.cache_miss"), miss0 + 4);
+  EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 4);
+}
+
+TEST(SolverRegistryTest, DispatchCountsTheSolverThatRan) {
+  auto& registry = SolverRegistry::Global();
+  registry.ClearCache();
+  const int64_t blocked0 = CounterValue("tensor.solver.ran.gemm.blocked8x8");
+  const int64_t rowaxpy0 = CounterValue("tensor.solver.ran.gemm.rowaxpy");
+  common::Rng rng(5);
+  const auto a = RandomVec(rng, 64 * 64);
+  const auto b = RandomVec(rng, 64 * 64);
+  std::vector<float> y(64 * 64);
+  MatMul(a.data(), b.data(), y.data(), 64, 64, 64);
+  MatMul(a.data(), b.data(), y.data(), 64, 64, 1);
+  EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.blocked8x8"), blocked0 + 1);
+  EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.rowaxpy"), rowaxpy0 + 1);
 }
 
 TEST(SolverRegistryTest, SelectReplaysCacheAcrossThreadsAndIsa) {
@@ -203,15 +266,15 @@ TEST(SolverRegistryTest, SelectReplaysCacheAcrossThreadsAndIsa) {
   }
   EXPECT_EQ(CounterValue("tensor.solver.cache_hit"), hit0 + 6);
 
-  // A different bucket (and a different op) miss and fall back.
-  EXPECT_EQ(registry.Select(
-                GemmProblem{GemmOp::kMatMul, 300, 300, 300,
-                            IsaLevel::kScalar, 1}),
-            registry.DefaultSolver());
-  EXPECT_EQ(registry.Select(
-                GemmProblem{GemmOp::kMatMulGradA, 64, 64, 64,
-                            IsaLevel::kScalar, 1}),
-            registry.DefaultSolver());
+  // A different bucket (and a different op) miss and take the static
+  // choice.
+  const GemmProblem other_bucket{GemmOp::kMatMul, 300, 300, 300,
+                                 IsaLevel::kScalar, 1};
+  const GemmProblem other_op{GemmOp::kMatMulGradA, 64, 64, 64,
+                             IsaLevel::kScalar, 1};
+  EXPECT_EQ(registry.Select(other_bucket),
+            registry.StaticChoice(other_bucket));
+  EXPECT_EQ(registry.Select(other_op), registry.StaticChoice(other_op));
 
   registry.ClearCache();
   std::filesystem::remove(path);
@@ -231,10 +294,8 @@ TEST(SolverRegistryTest, UnknownCachedSolverIdFallsBack) {
   ASSERT_TRUE(registry.ReloadCache(path).ok());
 
   const int64_t fallback0 = CounterValue("tensor.solver.fallback");
-  EXPECT_EQ(registry.Select(
-                GemmProblem{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar,
-                            1}),
-            registry.DefaultSolver());
+  const GemmProblem p{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1};
+  EXPECT_EQ(registry.Select(p), registry.StaticChoice(p));
   EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 1);
 
   registry.ClearCache();
@@ -309,6 +370,56 @@ TEST(SolverBitExactTest, DegenerateAndSkewedShapes) {
     ExpectAllSolversBitExact(op, 517, 3, 2, rng);  // tall-skinny
     ExpectAllSolversBitExact(op, 2, 3, 517, rng);  // wide
     ExpectAllSolversBitExact(op, 1, 300, 1, rng);  // long pure reduction
+  }
+}
+
+TEST(SolverBitExactTest, ZeroLadenTilesKeepTheZeroSkip) {
+  // The blocked solver runs a tile without zeros on its plain kernel and a
+  // tile with zeros on the skipping one; both must reproduce the
+  // reference's skip. Shapes cover whole 8x8 tiles, edge tiles and several
+  // KC blocks.
+  common::Rng rng(4242);
+  for (const Zeros zeros : {Zeros::kReluLike, Zeros::kSingle,
+                            Zeros::kNegative}) {
+    for (const GemmOp op : {GemmOp::kMatMul, GemmOp::kMatMulGradA,
+                            GemmOp::kMatMulGradB}) {
+      ExpectAllSolversBitExact(op, 64, 64, 64, rng, zeros);
+      ExpectAllSolversBitExact(op, 37, 300, 29, rng, zeros);
+      ExpectAllSolversBitExact(op, 80, 32, 32, rng, zeros);
+    }
+  }
+}
+
+TEST(SolverBitExactTest, NonFiniteBKeepsTheZeroSkip) {
+  // 0 * Inf is NaN: a skipped term that is computed anyway shows up as a
+  // NaN output, and an added -0.0 or +0.0 flips a -0.0 accumulator.
+  common::Rng rng(777);
+  for (const Zeros zeros : {Zeros::kMixed, Zeros::kReluLike,
+                            Zeros::kSingle, Zeros::kNegative}) {
+    for (const GemmOp op : {GemmOp::kMatMul, GemmOp::kMatMulGradA,
+                            GemmOp::kMatMulGradB}) {
+      ExpectAllSolversBitExact(op, 64, 40, 64, rng, zeros,
+                               /*nonfinite_b=*/true);
+      ExpectAllSolversBitExact(op, 23, 9, 17, rng, zeros,
+                               /*nonfinite_b=*/true);
+    }
+  }
+}
+
+TEST(SolverBitExactTest, SingleOutputColumn) {
+  // n == 1 is the shape of attention scores (rows x d x 1); the row-axpy
+  // solver has a dedicated path for it.
+  common::Rng rng(1031);
+  for (const Zeros zeros : {Zeros::kMixed, Zeros::kReluLike,
+                            Zeros::kNegative}) {
+    for (const GemmOp op : {GemmOp::kMatMul, GemmOp::kMatMulGradA,
+                            GemmOp::kMatMulGradB}) {
+      ExpectAllSolversBitExact(op, 1000, 16, 1, rng, zeros);
+      ExpectAllSolversBitExact(op, 3, 300, 1, rng, zeros);
+      ExpectAllSolversBitExact(op, 517, 1, 1, rng, zeros);
+      ExpectAllSolversBitExact(op, 64, 16, 1, rng, zeros,
+                               /*nonfinite_b=*/true);
+    }
   }
 }
 
