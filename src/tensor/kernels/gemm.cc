@@ -10,11 +10,10 @@
 
 namespace desalign::tensor::kernels {
 
-// The public entry points route through the solver registry: selection
-// replays the offline tuning cache, or on a miss takes the solver with the
-// lowest Estimate for the shape (the row-axpy kernels below or the blocked
-// solver), then runs it. Every registered solver is bit-identical to
-// reference.cc, so this indirection is a speed knob only.
+// The public entry points route through solver::DispatchGemm, which picks
+// the row-axpy kernels below or the blocked solver from the shape alone and
+// runs it. Every solver is bit-identical to reference.cc, so this
+// indirection is a speed knob only.
 
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {

@@ -135,10 +135,10 @@ DESALIGN_DEFINE_SPAN(ClipGrad)
 
 }  // namespace span
 
-// The pre-registry GEMM loop nests (gemm.cc). The public MatMul* entry
-// points now route through the solver registry (solver/solver.h); these are
-// the bodies the registry's fixed default solver ("gemm.rowaxpy") runs, and
-// the baseline `desalign tune` prices every other solver against.
+// The row-axpy GEMM loop nests (gemm.cc). The public MatMul* entry
+// points route through solver::DispatchGemm (solver/solver.h); these are
+// the bodies its "gemm.rowaxpy" solver runs, the choice for shapes with a
+// dimension below 32.
 namespace rowaxpy {
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n);

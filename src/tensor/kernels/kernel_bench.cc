@@ -107,8 +107,9 @@ class Runner {
 
   // GEMM variant: one labeled function per registered solver, so each
   // (threads, isa) cell is measured once per solver and tagged with its id.
-  // Solvers are invoked directly (not through cache replay) — the bench
-  // reports what each solver costs, independent of any find-db on disk.
+  // Solvers are invoked directly (not through DispatchGemm), so the bench
+  // reports what each one costs at every shape, whichever one the static
+  // choice would run.
   void MultiCase(
       const std::string& op, int64_t rows, int64_t cols, double norm_elems,
       const BenchFn& ref_fn,
@@ -221,10 +222,9 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
   }
 
   // ---- MatMul forward + backward, one variant per registered solver ----
-  // The full shape is the 512^3 cube the solver acceptance gate measures
-  // (the old 512x256x512 shape shared a bucket with it anyway). Each solver
-  // is run directly so the committed JSON compares them; the runtime cache
-  // would pick whichever one `desalign tune` found fastest here.
+  // The full shape is the 512^3 cube the solver gate in tools/ci.sh
+  // measures. Each solver is run directly so the committed JSON compares
+  // them.
   {
     const int64_t m = smoke ? 48 : 512;
     const int64_t k = smoke ? 32 : 512;
@@ -236,9 +236,8 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
     std::vector<float> ga(static_cast<size_t>(m * k));
     std::vector<float> gb(static_cast<size_t>(k * n));
     const double ops = static_cast<double>(m) * k * n;
-    const auto& solvers = solver::SolverRegistry::Global().Solvers();
     std::vector<std::pair<std::string, BenchFn>> fwd, grad_a, grad_b;
-    for (const solver::GemmSolver* s : solvers) {
+    for (const solver::GemmSolver* s : solver::Solvers()) {
       fwd.emplace_back(s->id(), [&, s] {
         s->Run(solver::GemmProblem::Current(solver::GemmOp::kMatMul, m, k, n),
                a.data(), b.data(), y.data());

@@ -11,9 +11,10 @@
 // (BENCH_kernels.json, schema "desalign.kernel_bench.v2"). The GEMM cases
 // additionally sweep every registered solver (solver/solver.h) and tag each
 // variant with its solver id, so the committed JSON records which solver
-// wins where — the same comparison `desalign tune` persists. tools/ci.sh
-// runs the smoke configuration and asserts the vector path does not regress
-// below the reference; docs/PERFORMANCE.md explains how to read the output.
+// wins where. tools/ci.sh runs the smoke configuration and asserts the
+// vector path does not regress below the reference, and gates the blocked
+// solver against row-axpy at 512^3; docs/PERFORMANCE.md explains how to
+// read the output.
 
 namespace desalign::tensor::kernels {
 

@@ -5,8 +5,8 @@
 
 #include "tensor/kernels/dispatch.h"
 
-// Cache-blocked, panel-packed GEMM — the first solver added on top of the
-// registry's row-axpy kernels. Classic MC/KC/NC structure: B is packed one
+// Cache-blocked, panel-packed GEMM — the solver beside the row-axpy
+// kernels (solver.h). Classic MC/KC/NC structure: B is packed one
 // (KC x NC) panel at a time into column-major-of-8 micro-panels, rows are
 // partitioned into 8-row tiles (the MC direction doubles as the parallel
 // grain), each tile packs its (8 x KC) slice of A, and an 8x8 microkernel

@@ -1,7 +1,7 @@
-// Fixture: the tuner's sanctioned exception — the find-db's tuned_at_unix
+// Fixture: a sanctioned exception — a tuning file's tuned_at_unix
 // provenance stamp is a deliberate wall-clock read (it records WHEN the
 // machine was tuned and is never selected on), suppressed via the named
-// pragma exactly as src/tensor/kernels/solver/tuner.cc does.
+// pragma.
 #include <ctime>
 
 long FindDbProvenanceStamp() {

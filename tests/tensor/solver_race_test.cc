@@ -1,109 +1,74 @@
-// Concurrency test for the solver registry (run under TSan by the
-// sanitizer CI stage): reader threads hammer Select()/Run while the main
-// thread repeatedly reloads the tuning cache, alternating between a valid
-// find-db and a corrupt one. Selection must stay valid (some registered
-// solver, never null, never a dangling record) throughout — the registry
-// copies what it needs under the lock and the solver table itself is
-// immutable, so readers never observe a half-installed cache.
+// Concurrency test for GEMM dispatch (run under TSan by the sanitizer CI
+// stage): several threads call the public MatMul at once, at a shape the
+// static choice runs blocked and at one it runs row-axpy. Dispatch shares
+// nothing mutable but its counters, so every output must match the
+// reference bit for bit and the per-solver counters must account for every
+// call.
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "tensor/kernels/solver/find_db.h"
+#include "obs/metrics.h"
+#include "tensor/kernels/gemm.h"
+#include "tensor/kernels/reference.h"
 #include "tensor/kernels/solver/solver.h"
 
 namespace desalign::tensor::kernels::solver {
 namespace {
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("desalign_solver_race_") + name + "_" +
-           std::to_string(::getpid()) + ".bin"))
-      .string();
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
 }
 
-TEST(SolverRaceTest, ConcurrentSelectDuringCacheReload) {
-  auto& registry = SolverRegistry::Global();
-  registry.ClearCache();
+TEST(SolverRaceTest, ConcurrentPublicMatMulIsBitExactAndCounted) {
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 200;
+  const int64_t m = 40, k = 40;
+  // n = 40 runs blocked, n = 1 runs row-axpy.
+  const int64_t widths[] = {40, 1};
 
-  const std::string good_path = TempPath("good");
-  const std::string bad_path = TempPath("bad");
-  FindDb db;
-  for (const GemmOp op :
-       {GemmOp::kMatMul, GemmOp::kMatMulGradA, GemmOp::kMatMulGradB}) {
-    FindDbRecord rec;
-    rec.key = ProblemKey::FromProblem(
-        GemmProblem{op, 24, 24, 24, IsaLevel::kScalar, 1});
-    rec.solver_id = "gemm.blocked8x8";
-    db.Upsert(rec);
-  }
-  ASSERT_TRUE(db.Save(good_path).ok());
-  {
-    std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
-    out << "DSFD not a real find-db";
+  common::Rng rng(1000);
+  std::vector<float> a(static_cast<size_t>(m * k));
+  std::vector<float> b(static_cast<size_t>(k * widths[0]));
+  for (auto& x : a) x = rng.UniformF(-1.0f, 1.0f);
+  for (auto& x : b) x = rng.UniformF(-1.0f, 1.0f);
+  std::vector<std::vector<float>> expected;
+  for (const int64_t n : widths) {
+    expected.emplace_back(static_cast<size_t>(m * n));
+    reference::MatMul(a.data(), b.data(), expected.back().data(), m, k, n);
   }
 
-  constexpr int kReaders = 4;
-  constexpr int kReloads = 50;
-  std::atomic<bool> stop{false};
-  std::atomic<int> bad_selections{0};
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&registry, &stop, &bad_selections, t] {
-      common::Rng rng(static_cast<uint64_t>(1000 + t));
-      const int64_t m = 24, k = 24, n = 24;
-      std::vector<float> a(static_cast<size_t>(m * k));
-      std::vector<float> b(static_cast<size_t>(k * n));
-      std::vector<float> y(static_cast<size_t>(m * n), 0.0f);
-      for (auto& x : a) x = rng.UniformF(-1.0f, 1.0f);
-      for (auto& x : b) x = rng.UniformF(-1.0f, 1.0f);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const GemmOp op = static_cast<GemmOp>(rng.UniformInt(3));
-        GemmProblem p{op, m, k, n, IsaLevel::kScalar, 1};
-        const GemmSolver* s = registry.Select(p);
-        if (s == nullptr || registry.FindById(s->id()) != s) {
-          bad_selections.fetch_add(1, std::memory_order_relaxed);
-          continue;
+  const int64_t ran0 = CounterValue("tensor.solver.ran.gemm.blocked8x8") +
+                       CounterValue("tensor.solver.ran.gemm.rowaxpy");
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> y(static_cast<size_t>(m * widths[0]));
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const size_t w = static_cast<size_t>((i + t) % 2);
+        const int64_t n = widths[w];
+        MatMul(a.data(), b.data(), y.data(), m, k, n);
+        if (std::memcmp(y.data(), expected[w].data(),
+                        expected[w].size() * sizeof(float)) != 0) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
         }
-        if (op == GemmOp::kMatMul) s->Run(p, a.data(), b.data(), y.data());
       }
     });
   }
+  for (auto& t : threads) t.join();
 
-  for (int i = 0; i < kReloads; ++i) {
-    // Alternate a clean install with a failed one; the failed reload must
-    // clear the cache, not leave readers pointing at freed records.
-    EXPECT_TRUE(registry.ReloadCache(good_path).ok());
-    EXPECT_FALSE(registry.ReloadCache(bad_path).ok());
-    registry.ClearCache();
-  }
-  EXPECT_TRUE(registry.ReloadCache(good_path).ok());
-
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : readers) t.join();
-
-  EXPECT_EQ(bad_selections.load(), 0);
-  // After the dust settles the cached winner is served as usual.
-  EXPECT_STREQ(registry.Select(GemmProblem{GemmOp::kMatMul, 24, 24, 24,
-                                           IsaLevel::kScalar, 1})
-                   ->id(),
-               "gemm.blocked8x8");
-
-  registry.ClearCache();
-  std::filesystem::remove(good_path);
-  std::filesystem::remove(bad_path);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.blocked8x8") +
+                CounterValue("tensor.solver.ran.gemm.rowaxpy") - ran0,
+            kThreads * kCallsPerThread);
 }
 
 }  // namespace

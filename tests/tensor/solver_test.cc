@@ -1,17 +1,12 @@
-// Solver-registry suite (ctest -L solver): every registered GEMM solver
-// must be bit-identical to the serial scalar reference
-// (kernels/reference.cc) across edge shapes x ISA x thread counts, and
-// runtime selection must be cache replay plus a static, shape-only choice
-// on any miss — deterministic across environments, never timing anything
-// online.
+// GEMM solver suite (ctest -L solver): every GEMM solver must be
+// bit-identical to the serial scalar reference (kernels/reference.cc)
+// across edge shapes x ISA x thread counts, and runtime selection must be
+// the static, shape-only choice, counted per solver that ran.
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <limits>
-#include <string>
-#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +17,6 @@
 #include "tensor/kernels/dispatch.h"
 #include "tensor/kernels/gemm.h"
 #include "tensor/kernels/reference.h"
-#include "tensor/kernels/solver/find_db.h"
 #include "tensor/kernels/solver/solver.h"
 
 namespace desalign::tensor::kernels::solver {
@@ -54,13 +48,6 @@ int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name).value();
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("desalign_solver_test_") + name + "_" +
-           std::to_string(::getpid()) + ".bin"))
-      .string();
-}
-
 // Where the "a" operand (the one whose zero elements the reference skips)
 // holds zeros.
 enum class Zeros {
@@ -75,7 +62,7 @@ enum class Zeros {
 // propagates cannot differ between two correct kernels.
 float DefaultNaN() { return std::bit_cast<float>(0xFFC00000u); }
 
-// Runs every registered solver on (op, m, k, n) under every ISA x
+// Runs every solver on (op, m, k, n) under every ISA x
 // partitioning configuration and memcmps the output bytes against the
 // reference loops. Output buffers are seeded nonzero (including -0.0f) so
 // the grads' accumulate-into-out semantics and the zero-skip subtleties
@@ -138,16 +125,9 @@ void ExpectAllSolversBitExact(GemmOp op, int64_t m, int64_t k, int64_t n,
       break;
   }
 
-  for (const GemmSolver* s : SolverRegistry::Global().Solvers()) {
+  for (const GemmSolver* s : Solvers()) {
     for (const Config& config : AllConfigs()) {
-      GemmProblem p;
-      p.op = op;
-      p.m = m;
-      p.k = k;
-      p.n = n;
-      p.isa = config.isa;
-      p.threads = config.threads;
-      if (!s->IsApplicable(p)) continue;
+      const GemmProblem p{op, m, k, n, config.isa};
       common::ThreadPool::SetGlobalThreadCount(config.threads);
       SetForcedGrainForTesting(config.threads > 1 ? 1 : 0);
       SetIsaOverride(config.isa);
@@ -167,176 +147,92 @@ void ExpectAllSolversBitExact(GemmOp op, int64_t m, int64_t k, int64_t n,
 }
 
 TEST(SolverRegistryTest, RegistrationOrderAndDefault) {
-  // Registration order is the Estimate tie-break; the row-axpy solver,
-  // applicable everywhere, comes first.
-  auto& registry = SolverRegistry::Global();
-  ASSERT_GE(registry.Solvers().size(), 2u);
-  EXPECT_STREQ(registry.Solvers().front()->id(), "gemm.rowaxpy");
-  EXPECT_NE(registry.FindById("gemm.blocked8x8"), nullptr);
-  EXPECT_EQ(registry.FindById("gemm.nonexistent"), nullptr);
+  // The fixed solver list kernel_bench and the bit-exact suite enumerate.
+  const auto solvers = Solvers();
+  ASSERT_EQ(solvers.size(), 2u);
+  EXPECT_STREQ(solvers[0]->id(), "gemm.rowaxpy");
+  EXPECT_STREQ(solvers[1]->id(), "gemm.blocked8x8");
 }
 
-TEST(SolverRegistryTest, ApplicableIsEstimateOrdered) {
-  auto& registry = SolverRegistry::Global();
-  // Large cube: the blocked solver's prior is cheaper, so it sorts first.
-  const auto large = registry.Applicable(
-      GemmProblem{GemmOp::kMatMul, 512, 512, 512, IsaLevel::kScalar, 1});
-  ASSERT_GE(large.size(), 2u);
-  EXPECT_STREQ(large.front()->id(), "gemm.blocked8x8");
-  // Tiny cube: packing overhead dominates and rowaxpy's prior wins.
-  const auto tiny = registry.Applicable(
-      GemmProblem{GemmOp::kMatMul, 4, 4, 4, IsaLevel::kScalar, 1});
-  ASSERT_GE(tiny.size(), 2u);
-  EXPECT_STREQ(tiny.front()->id(), "gemm.rowaxpy");
-  for (size_t i = 1; i < large.size(); ++i) {
-    EXPECT_LE(large[i - 1]->Estimate(
-                  GemmProblem{GemmOp::kMatMul, 512, 512, 512,
-                              IsaLevel::kScalar, 1}),
-              large[i]->Estimate(GemmProblem{GemmOp::kMatMul, 512, 512, 512,
-                                             IsaLevel::kScalar, 1}));
-  }
-}
-
-TEST(SolverRegistryTest, ShapeBucketsAreCeilLog2) {
-  EXPECT_EQ(ProblemKey::Bucket(0), 0);
-  EXPECT_EQ(ProblemKey::Bucket(1), 0);
-  EXPECT_EQ(ProblemKey::Bucket(2), 1);
-  EXPECT_EQ(ProblemKey::Bucket(8), 3);
-  EXPECT_EQ(ProblemKey::Bucket(9), 4);
-  EXPECT_EQ(ProblemKey::Bucket(256), 8);
-  EXPECT_EQ(ProblemKey::Bucket(257), 9);
-  EXPECT_EQ(ProblemKey::Bucket(512), 9);
-}
-
-TEST(SolverRegistryTest, EmptyCacheTakesStaticChoiceAndCounts) {
-  auto& registry = SolverRegistry::Global();
-  registry.ClearCache();
-  const int64_t miss0 = CounterValue("tensor.solver.cache_miss");
-  const int64_t fallback0 = CounterValue("tensor.solver.fallback");
-  // A miss runs the applicable solver with the lowest Estimate: blocked
-  // for a 64^3 cube, row-axpy for a single output column.
-  const GemmProblem cube = GemmProblem::Current(GemmOp::kMatMul, 64, 64, 64);
-  const GemmProblem column =
-      GemmProblem::Current(GemmOp::kMatMul, 4096, 16, 1);
-  EXPECT_STREQ(registry.Select(cube)->id(), "gemm.blocked8x8");
-  EXPECT_STREQ(registry.Select(column)->id(), "gemm.rowaxpy");
-  EXPECT_EQ(registry.Select(cube), registry.Applicable(cube).front());
-  EXPECT_EQ(registry.Select(column), registry.Applicable(column).front());
-  EXPECT_EQ(CounterValue("tensor.solver.cache_miss"), miss0 + 4);
-  EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 4);
+TEST(SolverRegistryTest, SelectSolverIsTheShapeRule) {
+  // Blocked once every dimension reaches 32: below that, packing and
+  // 8-wide tile edges dominate and row-axpy runs.
+  EXPECT_STREQ(SelectSolver(512, 512, 512).id(), "gemm.blocked8x8");
+  EXPECT_STREQ(SelectSolver(64, 64, 64).id(), "gemm.blocked8x8");
+  EXPECT_STREQ(SelectSolver(32, 32, 32).id(), "gemm.blocked8x8");
+  EXPECT_STREQ(SelectSolver(4000, 32, 32).id(), "gemm.blocked8x8");
+  EXPECT_STREQ(SelectSolver(31, 512, 512).id(), "gemm.rowaxpy");
+  EXPECT_STREQ(SelectSolver(512, 31, 512).id(), "gemm.rowaxpy");
+  EXPECT_STREQ(SelectSolver(512, 512, 31).id(), "gemm.rowaxpy");
+  EXPECT_STREQ(SelectSolver(4096, 16, 1).id(), "gemm.rowaxpy");
+  EXPECT_STREQ(SelectSolver(4, 4, 4).id(), "gemm.rowaxpy");
+  EXPECT_STREQ(SelectSolver(0, 64, 64).id(), "gemm.rowaxpy");
 }
 
 TEST(SolverRegistryTest, DispatchCountsTheSolverThatRan) {
-  auto& registry = SolverRegistry::Global();
-  registry.ClearCache();
-  const int64_t blocked0 = CounterValue("tensor.solver.ran.gemm.blocked8x8");
-  const int64_t rowaxpy0 = CounterValue("tensor.solver.ran.gemm.rowaxpy");
-  common::Rng rng(5);
-  const auto a = RandomVec(rng, 64 * 64);
-  const auto b = RandomVec(rng, 64 * 64);
-  std::vector<float> y(64 * 64);
-  MatMul(a.data(), b.data(), y.data(), 64, 64, 64);
-  MatMul(a.data(), b.data(), y.data(), 64, 64, 1);
-  EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.blocked8x8"), blocked0 + 1);
-  EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.rowaxpy"), rowaxpy0 + 1);
-}
+  // Through the public kernels, for every op, at a shape the static choice
+  // runs blocked and at one it runs row-axpy: the solver that ran is
+  // counted, the retained alias counters count every dispatch, and the
+  // output matches the reference bit for bit.
+  struct Case {
+    int64_t m, k, n;
+    const char* solver_id;
+  };
+  const Case cases[] = {{65, 33, 40, "gemm.blocked8x8"},
+                        {65, 33, 1, "gemm.rowaxpy"}};
+  common::Rng rng(7);
+  for (const Case& c : cases) {
+    for (const GemmOp op :
+         {GemmOp::kMatMul, GemmOp::kMatMulGradA, GemmOp::kMatMulGradB}) {
+      const int64_t m = c.m, k = c.k, n = c.n;
+      const auto a = RandomVec(rng, m * k);
+      const auto b = RandomVec(rng, k * n);
+      const auto g = RandomVec(rng, m * n);
+      const int64_t out_len = op == GemmOp::kMatMul
+                                  ? m * n
+                                  : (op == GemmOp::kMatMulGradA ? m * k
+                                                                : k * n);
+      const std::vector<float> base = RandomVec(rng, out_len);
+      std::vector<float> got = base;
+      std::vector<float> expected = base;
 
-TEST(SolverRegistryTest, SelectReplaysCacheAcrossThreadsAndIsa) {
-  auto& registry = SolverRegistry::Global();
-  const std::string path = TempPath("replay");
-
-  FindDb db;
-  FindDbRecord rec;
-  rec.key = ProblemKey::FromProblem(
-      GemmProblem{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1});
-  rec.solver_id = "gemm.blocked8x8";
-  db.Upsert(rec);
-  ASSERT_TRUE(db.Save(path).ok());
-  ASSERT_TRUE(registry.ReloadCache(path).ok());
-
-  const int64_t hit0 = CounterValue("tensor.solver.cache_hit");
-  // Selection must be a pure function of (op, shape): identical for every
-  // ISA level and thread count — the determinism contract for replay.
-  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kAvx2}) {
-    for (const int threads : {1, 2, 8}) {
-      GemmProblem p{GemmOp::kMatMul, 64, 64, 64, isa, threads};
-      EXPECT_STREQ(registry.Select(p)->id(), "gemm.blocked8x8")
-          << IsaName(isa) << " @" << threads;
+      const int64_t blocked0 =
+          CounterValue("tensor.solver.ran.gemm.blocked8x8");
+      const int64_t rowaxpy0 = CounterValue("tensor.solver.ran.gemm.rowaxpy");
+      const int64_t miss0 = CounterValue("tensor.solver.cache_miss");
+      const int64_t fallback0 = CounterValue("tensor.solver.fallback");
+      switch (op) {
+        case GemmOp::kMatMul:
+          MatMul(a.data(), b.data(), got.data(), m, k, n);
+          reference::MatMul(a.data(), b.data(), expected.data(), m, k, n);
+          break;
+        case GemmOp::kMatMulGradA:
+          MatMulGradA(g.data(), b.data(), got.data(), m, k, n);
+          reference::MatMulGradA(g.data(), b.data(), expected.data(), m, k,
+                                 n);
+          break;
+        case GemmOp::kMatMulGradB:
+          MatMulGradB(g.data(), a.data(), got.data(), m, k, n);
+          reference::MatMulGradB(g.data(), a.data(), expected.data(), m, k,
+                                 n);
+          break;
+      }
+      const bool blocked = std::strcmp(c.solver_id, "gemm.blocked8x8") == 0;
+      EXPECT_STREQ(SelectSolver(m, k, n).id(), c.solver_id);
+      EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.blocked8x8"),
+                blocked0 + (blocked ? 1 : 0))
+          << GemmOpName(op) << " n=" << n;
+      EXPECT_EQ(CounterValue("tensor.solver.ran.gemm.rowaxpy"),
+                rowaxpy0 + (blocked ? 0 : 1))
+          << GemmOpName(op) << " n=" << n;
+      EXPECT_EQ(CounterValue("tensor.solver.cache_miss"), miss0 + 1);
+      EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 1);
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << GemmOpName(op) << " via " << c.solver_id;
     }
   }
-  EXPECT_EQ(CounterValue("tensor.solver.cache_hit"), hit0 + 6);
-
-  // A different bucket (and a different op) miss and take the static
-  // choice.
-  const GemmProblem other_bucket{GemmOp::kMatMul, 300, 300, 300,
-                                 IsaLevel::kScalar, 1};
-  const GemmProblem other_op{GemmOp::kMatMulGradA, 64, 64, 64,
-                             IsaLevel::kScalar, 1};
-  EXPECT_EQ(registry.Select(other_bucket),
-            registry.StaticChoice(other_bucket));
-  EXPECT_EQ(registry.Select(other_op), registry.StaticChoice(other_op));
-
-  registry.ClearCache();
-  std::filesystem::remove(path);
-}
-
-TEST(SolverRegistryTest, UnknownCachedSolverIdFallsBack) {
-  auto& registry = SolverRegistry::Global();
-  const std::string path = TempPath("unknown_id");
-
-  FindDb db;
-  FindDbRecord rec;
-  rec.key = ProblemKey::FromProblem(
-      GemmProblem{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1});
-  rec.solver_id = "gemm.from_a_newer_build";
-  db.Upsert(rec);
-  ASSERT_TRUE(db.Save(path).ok());
-  ASSERT_TRUE(registry.ReloadCache(path).ok());
-
-  const int64_t fallback0 = CounterValue("tensor.solver.fallback");
-  const GemmProblem p{GemmOp::kMatMul, 64, 64, 64, IsaLevel::kScalar, 1};
-  EXPECT_EQ(registry.Select(p), registry.StaticChoice(p));
-  EXPECT_EQ(CounterValue("tensor.solver.fallback"), fallback0 + 1);
-
-  registry.ClearCache();
-  std::filesystem::remove(path);
-}
-
-TEST(SolverRegistryTest, PublicKernelsDispatchBitExactWithTunedCache) {
-  // End-to-end through kernels::MatMul: with a cache that selects the
-  // blocked solver, the public entry point must still match the reference
-  // bit-for-bit (the whole point: selection is a speed knob only).
-  auto& registry = SolverRegistry::Global();
-  const std::string path = TempPath("dispatch");
-  const int64_t m = 65, k = 33, n = 40;
-
-  FindDb db;
-  for (const GemmOp op :
-       {GemmOp::kMatMul, GemmOp::kMatMulGradA, GemmOp::kMatMulGradB}) {
-    FindDbRecord rec;
-    rec.key = ProblemKey::FromProblem(
-        GemmProblem{op, m, k, n, IsaLevel::kScalar, 1});
-    rec.solver_id = "gemm.blocked8x8";
-    db.Upsert(rec);
-  }
-  ASSERT_TRUE(db.Save(path).ok());
-  ASSERT_TRUE(registry.ReloadCache(path).ok());
-
-  common::Rng rng(7);
-  const auto a = RandomVec(rng, m * k);
-  const auto b = RandomVec(rng, k * n);
-  std::vector<float> got(static_cast<size_t>(m * n));
-  std::vector<float> expected(static_cast<size_t>(m * n));
-  const int64_t hit0 = CounterValue("tensor.solver.cache_hit");
-  MatMul(a.data(), b.data(), got.data(), m, k, n);
-  EXPECT_EQ(CounterValue("tensor.solver.cache_hit"), hit0 + 1);
-  reference::MatMul(a.data(), b.data(), expected.data(), m, k, n);
-  EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                        got.size() * sizeof(float)),
-            0);
-
-  registry.ClearCache();
-  std::filesystem::remove(path);
 }
 
 TEST(SolverBitExactTest, EdgeShapeGridAllOpsAllSolvers) {

@@ -33,7 +33,7 @@ three whole-program contracts:
   discarded-status  Call sites that drop the result of a fallible API
                     (common::Status / common::Result returns such as
                     Reload, ReloadAndRebuild, checkpoint Save/Load,
-                    find-db Save/Load, QuantizeTensor, and the
+                    QuantizeTensor, and the
                     ServeStatus-carrying futures of BatchQueue::Submit)
                     as a bare expression-statement. `(void)expr` is the
                     sanctioned explicit discard. The declarations
@@ -722,8 +722,8 @@ def pass_layering(found, sources, root):
 FALLIBLE_CALLS = {
     "Reload": "EmbeddingStore::Reload (common::Status)",
     "ReloadAndRebuild": "IvfRetriever::ReloadAndRebuild (common::Status)",
-    "Save": "checkpoint/find-db Save (common::Status)",
-    "Load": "checkpoint/find-db Load (common::Result)",
+    "Save": "checkpoint Save (common::Status)",
+    "Load": "checkpoint Load (common::Result)",
     "SaveCheckpoint": "nn::SaveCheckpoint (common::Status)",
     "LoadCheckpoint": "nn::LoadCheckpoint (common::Result)",
     "LoadLatestValid": "CheckpointManager::LoadLatestValid (common::Result)",
