@@ -475,7 +475,6 @@ Status CmdServeBench(const std::vector<std::string>& args,
   std::string index_kind;
   int64_t nprobe;
   int64_t centroids;
-  int64_t shards;
   parser.AddString("method", "DESAlign",
                    "fusion-family method to train (EVA, MCLEA, MEAformer, "
                    "DESAlign)",
@@ -502,7 +501,6 @@ Status CmdServeBench(const std::vector<std::string>& args,
   parser.AddInt64("nprobe", 8, "IVF cells probed per query", &nprobe);
   parser.AddInt64("centroids", 0, "IVF coarse cells (0 = ~sqrt(n))",
                   &centroids);
-  parser.AddInt64("shards", 4, "IVF inverted-list shards", &shards);
   auto argv = ToArgv(args);
   DESALIGN_RETURN_NOT_OK(
       parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
@@ -563,7 +561,6 @@ Status CmdServeBench(const std::vector<std::string>& args,
   retriever_config.topk.block_rows = block_rows;
   retriever_config.ivf.nprobe = nprobe;
   retriever_config.ivf.num_centroids = centroids;
-  retriever_config.ivf.num_shards = static_cast<int>(shards);
   const std::unique_ptr<serve::Retriever> retriever =
       index::MakeRetriever(&store, retriever_config);
   serve::ServeStats stats;
@@ -618,8 +615,8 @@ Status CmdServeBench(const std::vector<std::string>& args,
       << common::ThreadPool::Global().num_threads() << " threads\n";
   if (const auto* ivf = dynamic_cast<const index::IvfRetriever*>(
           retriever.get())) {
-    out << "ivf index: " << ivf->num_centroids() << " cells, "
-        << ivf->num_shards() << " shards, nprobe " << nprobe << ", built in "
+    out << "ivf index: " << ivf->num_centroids() << " cells, nprobe "
+        << nprobe << ", built in "
         << common::Secs(ivf->last_build_ms() / 1e3) << "\n";
   }
   stats.PrintTable(out);
@@ -710,7 +707,6 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   int64_t k;
   int64_t nprobe;
   int64_t centroids;
-  int64_t shards;
   int64_t clusters;
   double noise;
   bool smoke;
@@ -723,7 +719,6 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   parser.AddInt64("nprobe", 8, "partial-probe width", &nprobe);
   parser.AddInt64("centroids", 0, "IVF coarse cells (0 = ~sqrt(n))",
                   &centroids);
-  parser.AddInt64("shards", 4, "IVF inverted-list shards", &shards);
   parser.AddInt64("clusters", 256, "synthetic mixture components",
                   &clusters);
   parser.AddDouble("noise", 0.25, "synthetic per-coordinate noise",
@@ -759,7 +754,6 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   options.k = k;
   options.nprobe = nprobe;
   options.num_centroids = centroids;
-  options.num_shards = static_cast<int>(shards);
   options.clusters = clusters;
   options.noise = noise;
   options.smoke = smoke;
@@ -776,7 +770,7 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
 
   for (const auto& c : report.cases) {
     out << c.entities << " entities (dim " << c.dim << ", "
-        << c.num_centroids << " cells, " << c.shards << " shards, built "
+        << c.num_centroids << " cells, built "
         << common::Secs(c.build_ms / 1e3) << "):\n";
     for (const auto& p : c.paths) {
       out << "  " << p.path << ": p50 "

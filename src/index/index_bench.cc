@@ -46,7 +46,6 @@ std::string IndexBenchReport::ToJson() const {
     if (i) os << ",";
     os << "{\"entities\":" << c.entities << ",\"dim\":" << c.dim
        << ",\"k\":" << c.k << ",\"num_centroids\":" << c.num_centroids
-       << ",\"shards\":" << c.shards
        << ",\"build_ms\":" << JsonNum(c.build_ms) << ",\"paths\":[";
     for (size_t j = 0; j < c.paths.size(); ++j) {
       const auto& p = c.paths[j];
@@ -104,12 +103,10 @@ IndexBenchReport RunIndexBench(const IndexBenchOptions& options) {
     IvfOptions ivf_options;
     ivf_options.num_centroids = options.num_centroids;
     ivf_options.nprobe = options.nprobe;
-    ivf_options.num_shards = options.num_shards;
     ivf_options.seed = options.seed;
     ivf_options.registry = &registry;
     IvfRetriever ivf(&store, ivf_options);
     bench_case.num_centroids = ivf.num_centroids();
-    bench_case.shards = ivf.num_shards();
     bench_case.build_ms = ivf.last_build_ms();
 
     // Ground truth once, from the single-threaded exact reference.

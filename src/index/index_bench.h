@@ -18,7 +18,6 @@ struct IndexBenchOptions {
   int64_t k = 10;
   int64_t nprobe = 8;         ///< probe width of the partial-probe path
   int64_t num_centroids = 0;  ///< 0 = auto (~sqrt(n))
-  int num_shards = 4;
   int64_t clusters = 256;  ///< mixture components in the synthetic data
   double noise = 0.25;     ///< per-coordinate noise amplitude
   uint64_t seed = 20240808;
@@ -46,7 +45,6 @@ struct IndexBenchCase {
   int64_t dim = 0;
   int64_t k = 0;
   int64_t num_centroids = 0;
-  int shards = 0;
   double build_ms = 0.0;
   std::vector<IndexBenchPath> paths;
 };

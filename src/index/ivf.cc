@@ -14,8 +14,10 @@ namespace desalign::index {
 namespace {
 
 using serve::scoring::BoundedTopK;
-using serve::scoring::Dot;
 using serve::scoring::SquaredL2;
+
+/// Lloyd iterations of the coarse quantizer.
+constexpr int kKMeansIterations = 8;
 
 int64_t ResolveCentroids(int64_t requested, int64_t n) {
   if (n <= 0) return 0;
@@ -28,7 +30,7 @@ int64_t ResolveCentroids(int64_t requested, int64_t n) {
 }  // namespace
 
 IvfRetriever::IvfRetriever(serve::EmbeddingStore* store, IvfOptions options)
-    : store_(store), options_(options) {
+    : store_(store), options_(options), pipeline_(options.registry) {
   DESALIGN_CHECK(store_ != nullptr);
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
@@ -39,10 +41,6 @@ IvfRetriever::IvfRetriever(serve::EmbeddingStore* store, IvfOptions options)
   probes_ = &registry.GetCounter("index.probes");
   candidates_ = &registry.GetHistogram(
       "index.candidates_per_query",
-      obs::Histogram::ExponentialBuckets(1.0, 2.0, 30));
-  int8_queries_ = &registry.GetCounter("quant.int8_queries");
-  rerank_width_ = &registry.GetHistogram(
-      "quant.rerank_candidates",
       obs::Histogram::ExponentialBuckets(1.0, 2.0, 30));
   Rebuild();
 }
@@ -62,60 +60,44 @@ void IvfRetriever::Rebuild() {
   if (n > 0) {
     KMeansOptions kopts;
     kopts.num_centroids = ResolveCentroids(options_.num_centroids, n);
-    kopts.iterations = options_.kmeans_iterations;
+    kopts.iterations = kKMeansIterations;
     kopts.seed = options_.seed;
     kopts.sample_rows = options_.kmeans_sample_rows;
     kopts.pool = options_.pool;
     built->coarse = TrainKMeans(snap, kopts);
-    const int64_t k = built->coarse.num_centroids;
+    const int64_t nc = built->coarse.num_centroids;
 
-    const int num_shards = static_cast<int>(std::min<int64_t>(
-        std::max(options_.num_shards, 1), n));
-    built->shards.resize(static_cast<size_t>(num_shards));
+    // Every row's cell, in parallel: RowAsFloat dequantizes in a fixed
+    // order, so a row's cell is the same whichever thread assigns it.
+    std::vector<int64_t> cell(static_cast<size_t>(n));
     common::ThreadPool& pool = options_.pool != nullptr
                                    ? *options_.pool
                                    : common::ThreadPool::Global();
-    // Shard s owns rows [s*n/S, (s+1)*n/S): a pure function of (s, n, S).
-    // Shards build independently, so this fan-out cannot reorder anything
-    // observable — each shard's lists depend only on its own row range.
     pool.ParallelFor(
-        0, num_shards,
-        [&](int64_t sb, int64_t se) {
+        0, n,
+        [&](int64_t rb, int64_t re) {
           std::vector<float> scratch(static_cast<size_t>(dim));
-          for (int64_t s = sb; s < se; ++s) {
-            Shard& shard = built->shards[static_cast<size_t>(s)];
-            shard.begin = s * n / num_shards;
-            shard.end = (s + 1) * n / num_shards;
-            const int64_t rows = shard.end - shard.begin;
-            std::vector<int64_t> assign(static_cast<size_t>(rows));
-            for (int64_t i = 0; i < rows; ++i) {
-              // RowAsFloat dequantizes deterministically, so a row's cell
-              // is the same whatever shard/thread assigns it.
-              assign[static_cast<size_t>(i)] = NearestCentroid(
-                  built->coarse,
-                  snap.RowAsFloat(shard.begin + i, scratch.data()));
-            }
-            // Counting sort by centroid: rows are visited in ascending id
-            // order, so every inverted list comes out id-ascending.
-            shard.list_start.assign(static_cast<size_t>(k + 1), 0);
-            for (int64_t i = 0; i < rows; ++i) {
-              ++shard.list_start[static_cast<size_t>(
-                  assign[static_cast<size_t>(i)] + 1)];
-            }
-            std::partial_sum(shard.list_start.begin(), shard.list_start.end(),
-                             shard.list_start.begin());
-            shard.entries.resize(static_cast<size_t>(rows));
-            std::vector<int64_t> cursor(shard.list_start.begin(),
-                                        shard.list_start.end() - 1);
-            for (int64_t i = 0; i < rows; ++i) {
-              const auto c =
-                  static_cast<size_t>(assign[static_cast<size_t>(i)]);
-              shard.entries[static_cast<size_t>(cursor[c]++)] =
-                  shard.begin + i;
-            }
+          for (int64_t r = rb; r < re; ++r) {
+            cell[static_cast<size_t>(r)] = NearestCentroid(
+                built->coarse, snap.RowAsFloat(r, scratch.data()));
           }
         },
-        /*grain=*/1);
+        common::ThreadPool::GrainForCost(nc * dim));
+    // Serial counting sort by cell: rows are visited in ascending id
+    // order, so every inverted list comes out id-ascending.
+    built->list_start.assign(static_cast<size_t>(nc + 1), 0);
+    for (const int64_t c : cell) {
+      ++built->list_start[static_cast<size_t>(c + 1)];
+    }
+    std::partial_sum(built->list_start.begin(), built->list_start.end(),
+                     built->list_start.begin());
+    built->entries.resize(static_cast<size_t>(n));
+    std::vector<int64_t> cursor(built->list_start.begin(),
+                                built->list_start.end() - 1);
+    for (int64_t r = 0; r < n; ++r) {
+      built->entries[static_cast<size_t>(
+          cursor[static_cast<size_t>(cell[static_cast<size_t>(r)])]++)] = r;
+    }
   }
   built->build_ms = build_clock.ElapsedMillis();
   builds_->Increment();
@@ -147,101 +129,45 @@ std::vector<serve::TopKResult> IvfRetriever::RetrieveDegraded(
   if (level < serve::DegradationLevel::kReducedProbe) {
     return Retrieve(queries, num_queries, k);
   }
-  int64_t nprobe = options_.degraded_nprobe > 0
-                       ? options_.degraded_nprobe
-                       : std::max<int64_t>(1, options_.nprobe / 4);
-  nprobe = std::min(std::max<int64_t>(nprobe, 1), options_.nprobe);
+  const int64_t nprobe =
+      std::min(std::max<int64_t>(options_.nprobe / 4, 1), options_.nprobe);
   return RetrieveWithProbe(queries, num_queries, k, nprobe);
 }
 
 std::vector<serve::TopKResult> IvfRetriever::RetrieveWithProbe(
     const float* queries, int64_t num_queries, int64_t k,
     int64_t nprobe) const {
-  std::vector<serve::TopKResult> results(
-      num_queries > 0 ? static_cast<size_t>(num_queries) : 0);
-  if (num_queries <= 0) return results;
   const std::shared_ptr<const Built> built = Current();
-  const serve::EmbeddingSnapshot& snap = built->snap;
-  const int64_t n = snap.size();
-  k = std::min(k, n);
-  if (k <= 0) return results;
-  const int64_t d = snap.dim();
+  const int64_t d = built->snap.dim();
   const int64_t nc = built->coarse.num_centroids;
   nprobe = std::min(std::max<int64_t>(nprobe, 1), nc);
-
-  std::vector<float> q(queries, queries + num_queries * d);
-  serve::L2NormalizeRows(q.data(), num_queries, d);
-
-  const nn::TensorDtype dtype = snap.dtype();
-  const int64_t rerank =
-      serve::ResolveRerankCandidates(options_.rerank_candidates, k, n);
-
-  common::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : common::ThreadPool::Global();
   const float* centroids = built->coarse.centroids.data();
-  pool.ParallelFor(
-      0, num_queries,
-      [&](int64_t qb, int64_t qe) {
-        std::vector<float> scratch(static_cast<size_t>(d));
-        for (int64_t i = qb; i < qe; ++i) {
-          const float* qi = q.data() + i * d;
-          // Stage 1: nearest cells by squared L2, ties toward the smaller
-          // centroid id — the same rule assignment used at build time.
+  auto results = pipeline_.Run(
+      built->snap, queries, num_queries, k, options_.rerank_candidates,
+      /*source=*/nullptr, options_.pool, [&](auto& chunk) {
+        for (int64_t i = chunk.begin; i < chunk.end; ++i) {
+          // Nearest cells by squared L2, ties toward the smaller centroid
+          // id — the same rule assignment used at build time.
+          const float* qi = chunk.Normalized(i);
           BoundedTopK probe(nprobe);
           for (int64_t c = 0; c < nc; ++c) {
             probe.Offer(-SquaredL2(qi, centroids + c * d, d), c);
           }
-          const std::vector<int64_t> cells = probe.FinishIds();
-          // Stage 2: re-rank every entity in a probed list. The shard x
-          // cell visit order is irrelevant to the output — the candidate
-          // set is a set, and scoring::Better is total. fp32/bf16 rows are
-          // scored exactly in one pass; int8 rows go through the integer
-          // scan first, with only the best `rerank` survivors re-scored in
-          // fp32 (see docs/SERVING.md "Quantized serving").
-          BoundedTopK heap(dtype == nn::TensorDtype::kInt8 ? rerank : k);
+          // The cell visit order is irrelevant to the output: the
+          // candidate set is a set, and scoring::Better is total.
           int64_t offered = 0;
-          serve::scoring::Int8Query qq;
-          if (dtype == nn::TensorDtype::kInt8) {
-            qq = serve::scoring::QuantizeQuery(qi, d);
-          }
-          for (const Shard& shard : built->shards) {
-            for (const int64_t c : cells) {
-              const int64_t lb = shard.list_start[static_cast<size_t>(c)];
-              const int64_t le = shard.list_start[static_cast<size_t>(c + 1)];
-              for (int64_t e = lb; e < le; ++e) {
-                const int64_t id = shard.entries[static_cast<size_t>(e)];
-                if (dtype == nn::TensorDtype::kInt8) {
-                  heap.Offer(serve::scoring::Int8Score(
-                                 qq, snap.codes_row(id), snap.scale(id), d),
-                             id);
-                } else {
-                  heap.Offer(Dot(qi, snap.RowAsFloat(id, scratch.data()), d),
-                             id);
-                }
-              }
-              offered += le - lb;
-            }
-          }
-          if (dtype == nn::TensorDtype::kInt8) {
-            BoundedTopK final_heap(k);
-            for (const int64_t id : heap.FinishIds()) {
-              final_heap.Offer(Dot(qi, snap.RowAsFloat(id, scratch.data()),
-                                   d),
-                               id);
-            }
-            results[static_cast<size_t>(i)] = final_heap.Finish();
-          } else {
-            results[static_cast<size_t>(i)] = heap.Finish();
+          for (const int64_t c : probe.FinishIds()) {
+            const int64_t lb = built->list_start[static_cast<size_t>(c)];
+            const int64_t le = built->list_start[static_cast<size_t>(c + 1)];
+            chunk.OfferIds(i, built->entries.data() + lb, le - lb);
+            offered += le - lb;
           }
           candidates_->Record(static_cast<double>(offered));
         }
-      },
-      /*grain=*/1);
-  queries_->Increment(num_queries);
-  probes_->Increment(num_queries * nprobe);
-  if (dtype == nn::TensorDtype::kInt8) {
-    int8_queries_->Increment(num_queries);
-    rerank_width_->Record(static_cast<double>(rerank));
+      });
+  if (num_queries > 0 && std::min(k, built->snap.size()) > 0) {
+    queries_->Increment(num_queries);
+    probes_->Increment(num_queries * nprobe);
   }
   return results;
 }
@@ -252,10 +178,6 @@ int64_t IvfRetriever::size() const { return Current()->snap.size(); }
 
 int64_t IvfRetriever::num_centroids() const {
   return Current()->coarse.num_centroids;
-}
-
-int IvfRetriever::num_shards() const {
-  return static_cast<int>(Current()->shards.size());
 }
 
 double IvfRetriever::last_build_ms() const { return Current()->build_ms; }

@@ -14,6 +14,7 @@
 #include "index/kmeans.h"
 #include "obs/metrics.h"
 #include "serve/embedding_store.h"
+#include "serve/pipeline.h"
 #include "serve/retriever.h"
 #include "serve/stats.h"
 #include "serve/topk.h"
@@ -27,41 +28,36 @@ struct IvfOptions {
   /// to [1, num_centroids]. nprobe == num_centroids scans every list and
   /// is byte-identical to brute force.
   int64_t nprobe = 8;
-  int kmeans_iterations = 8;
   /// Rows sampled for k-means training (0 = all); keeps build time flat
   /// in the table size.
   int64_t kmeans_sample_rows = 65536;
   uint64_t seed = common::Rng::kDefaultSeed;
-  /// Inverted lists are split into this many contiguous-entity-range
-  /// shards, built in parallel; clamped to [1, n]. Shard contents are
-  /// independent of the shard count, so results are too.
-  int num_shards = 4;
   common::ThreadPool* pool = nullptr;  ///< null = ThreadPool::Global()
-  /// Registry for `index.*` metrics; null = MetricsRegistry::Global().
+  /// Registry for `index.*` and `quant.*` metrics; null =
+  /// MetricsRegistry::Global().
   obs::MetricsRegistry* registry = nullptr;
-  /// int8 tables: stage-2 candidates kept by the integer scan per probed
+  /// int8 tables: stage-1 candidates kept by the integer scan per probed
   /// set before the exact fp32 re-rank; same policy as
   /// serve::TopKOptions::rerank_candidates (0 auto, >0 explicit, <0 all).
   int64_t rerank_candidates = 0;
-  /// Probe width served while the overload governor has the queue at
-  /// DegradationLevel::kReducedProbe or below; 0 = auto
-  /// (max(1, nprobe / 4)). Clamped to [1, nprobe] — degrading never scans
-  /// more than the configured probe.
-  int64_t degraded_nprobe = 0;
 };
 
 /// Two-stage deterministic ANN retriever: a k-means coarse quantizer
-/// buckets entities into per-shard inverted lists (stage 1); a query
-/// probes its `nprobe` nearest centroids and the surviving candidates are
-/// re-ranked with the exact shared scorer (stage 2, serve/scoring.h).
+/// buckets entities into inverted lists (one CSR over all cells); a query
+/// probes its `nprobe` nearest centroids and every entity of the probed
+/// lists is offered to the shared RetrievalPipeline (serve/pipeline.h),
+/// which scores it with the table's per-dtype row scorer — and, for int8
+/// tables, re-ranks the best `rerank_candidates` survivors in fp32.
 ///
 /// Determinism: the candidate set for a query is a pure function of
 /// (table bits, options) — seeded k-means, fixed iterations, id-ascending
-/// tie-breaks — and the re-rank uses the same Dot kernel and total order
-/// as TopKRetriever. Therefore results are bit-identical across thread
-/// counts and shard counts, and at full probe (nprobe = num_centroids)
-/// byte-identical to TopKRetriever::RetrieveBruteForce. Partial probe
-/// trades recall for latency; see docs/SERVING.md for tuning.
+/// tie-breaks — and the pipeline scores it with the same kernels and total
+/// order as TopKRetriever. Therefore results are bit-identical across
+/// thread counts, and at full probe (nprobe = num_centroids)
+/// byte-identical to a TopKRetriever with the same rerank_candidates and
+/// no rerank_source — for fp32/bf16 tables, and int8 with
+/// rerank_candidates < 0, to RetrieveBruteForce. Partial probe trades
+/// recall for latency; see docs/SERVING.md for tuning.
 ///
 /// Reload: ReloadAndRebuild chains the store's validate-before-swap
 /// Reload with an index rebuild; queries in flight keep the previous
@@ -71,15 +67,11 @@ struct IvfOptions {
 ///
 /// Quantized tables: list building and the coarse quantizer read rows
 /// through EmbeddingSnapshot::RowAsFloat (fixed-order scalar
-/// dequantization), so cell assignment is dtype-deterministic. For int8
-/// tables the probed lists are first scanned with the integer scorer and
-/// only the best `rerank_candidates` survivors are re-ranked in fp32; at
-/// full probe with rerank_candidates < 0 this is again byte-identical to
-/// RetrieveBruteForce over the same table.
+/// dequantization), so cell assignment is dtype-deterministic.
 ///
-/// Metrics (`index.*`): builds, build_ms, queries, probes,
-/// candidates_per_query; plus `quant.int8_queries` /
-/// `quant.rerank_candidates` when the table is int8.
+/// Metrics: `index.builds`, `index.build_ms`, `index.queries`,
+/// `index.probes`, `index.candidates_per_query`; plus the pipeline's
+/// `quant.*` metrics on bf16 and int8 tables.
 class IvfRetriever final : public serve::Retriever {
  public:
   /// Builds the index from the store's current snapshot; `store` must
@@ -108,9 +100,10 @@ class IvfRetriever final : public serve::Retriever {
                                                    int64_t nprobe) const;
 
   /// Overload ladder: any rung at or past kReducedProbe probes
-  /// `degraded_nprobe` cells instead of `nprobe` — recall dips, the scan
-  /// shrinks, and results return to bit-identical full quality as soon as
-  /// the governor steps back to kNone (the index itself is untouched).
+  /// max(1, nprobe / 4) cells (never more than `nprobe`) instead of
+  /// `nprobe` — recall dips, the scan shrinks, and results return to
+  /// bit-identical full quality as soon as the governor steps back to
+  /// kNone (the index itself is untouched).
   std::vector<serve::TopKResult> RetrieveDegraded(
       const float* queries, int64_t num_queries, int64_t k,
       serve::DegradationLevel level) const override;
@@ -120,28 +113,19 @@ class IvfRetriever final : public serve::Retriever {
 
   /// Cells in the current index (resolved from options and table size).
   int64_t num_centroids() const;
-  int num_shards() const;
   double last_build_ms() const;
 
  private:
-  /// One shard: inverted lists for the contiguous entity range
-  /// [begin, end), stored CSR-style. entries under one list are ascending
-  /// entity ids (the build scans rows in order), and a range's lists are
-  /// independent of how many shards the table was cut into.
-  struct Shard {
-    int64_t begin = 0;
-    int64_t end = 0;
-    std::vector<int64_t> list_start;  ///< num_centroids + 1 offsets
-    std::vector<int64_t> entries;     ///< entity ids grouped by centroid
-  };
-
   /// An immutable built index: the exact table snapshot it indexes plus
-  /// the quantizer and lists derived from it. Swapped whole, so a query
-  /// never sees lists from one table and rows from another.
+  /// the quantizer and the inverted lists derived from it, stored CSR
+  /// style — cell c's entity ids are entries[list_start[c],
+  /// list_start[c + 1]), ascending. Swapped whole, so a query never sees
+  /// lists from one table and rows from another.
   struct Built {
     serve::EmbeddingSnapshot snap;
     KMeansModel coarse;
-    std::vector<Shard> shards;
+    std::vector<int64_t> list_start;  ///< num_centroids + 1 offsets
+    std::vector<int64_t> entries;     ///< entity ids grouped by cell
     double build_ms = 0.0;
   };
 
@@ -155,8 +139,7 @@ class IvfRetriever final : public serve::Retriever {
   obs::Counter* queries_;            // owned by the registry
   obs::Counter* probes_;             // owned by the registry
   obs::Histogram* candidates_;       // owned by the registry
-  obs::Counter* int8_queries_;       // owned by the registry
-  obs::Histogram* rerank_width_;     // owned by the registry
+  serve::RetrievalPipeline pipeline_;
 
   mutable common::Mutex mutex_;
   std::shared_ptr<const Built> built_ GUARDED_BY(mutex_);

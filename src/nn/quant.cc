@@ -94,13 +94,6 @@ uint16_t Bf16FromFloat(float v) {
   return static_cast<uint16_t>(bits >> 16);
 }
 
-float FloatFromBf16(uint16_t bits) {
-  const uint32_t wide = static_cast<uint32_t>(bits) << 16;
-  float out = 0.0f;
-  std::memcpy(&out, &wide, sizeof(out));
-  return out;
-}
-
 void Bf16EncodeRow(const float* row, int64_t d, uint16_t* out) {
   for (int64_t j = 0; j < d; ++j) out[j] = Bf16FromFloat(row[j]);
 }

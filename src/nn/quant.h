@@ -1,6 +1,7 @@
 #ifndef DESALIGN_NN_QUANT_H_
 #define DESALIGN_NN_QUANT_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,7 +60,10 @@ uint16_t Bf16FromFloat(float v);
 
 /// bf16 -> fp32. Exact: the bf16 pattern is the fp32 pattern with the low
 /// 16 mantissa bits zero, so decode is a bit shift with no rounding.
-float FloatFromBf16(uint16_t bits);
+/// Inline because the bf16 serving scan decodes inside its dot product.
+inline float FloatFromBf16(uint16_t bits) {
+  return std::bit_cast<float>(static_cast<uint32_t>(bits) << 16);
+}
 
 void Bf16EncodeRow(const float* row, int64_t d, uint16_t* out);
 void Bf16DecodeRow(const uint16_t* in, int64_t d, float* out);

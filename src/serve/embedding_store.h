@@ -70,13 +70,15 @@ class EmbeddingSnapshot {
   }
   const std::vector<float>& data() const { return table_->data; }
 
-  /// kInt8 accessors: row `i`'s codes and its dequantization scale.
+  /// kInt8 accessors: row `i`'s codes and its dequantization scale, and
+  /// all rows' scales.
   const int8_t* codes_row(int64_t i) const {
     return table_->codes.data() + i * table_->cols;
   }
   float scale(int64_t i) const {
     return table_->scales[static_cast<size_t>(i)];
   }
+  const float* scales() const { return table_->scales.data(); }
 
   /// kBf16 accessor.
   const uint16_t* bf16_row(int64_t i) const {

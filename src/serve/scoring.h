@@ -2,9 +2,12 @@
 #define DESALIGN_SERVE_SCORING_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "nn/quant.h"
 #include "serve/retriever.h"
 
 namespace desalign::serve::scoring {
@@ -13,7 +16,7 @@ namespace desalign::serve::scoring {
 /// ids are unique, so Better() below is a strict total order and any top-k
 /// selection over a fixed candidate set has exactly one answer — the
 /// property that makes IVF-at-full-probe bit-identical to brute force
-/// regardless of scan order, shard count or thread count.
+/// regardless of scan order or thread count.
 struct Candidate {
   float score;
   int64_t id;
@@ -27,20 +30,57 @@ inline bool Better(const Candidate& a, const Candidate& b) {
   return a.id < b.id;
 }
 
+/// A stored row element as fp32: fp32 as is, bf16 by its exact bit shift.
+inline float Widen(float v) { return v; }
+inline float Widen(uint16_t bf16) { return nn::quant::FloatFromBf16(bf16); }
+
+/// Dot's accumulation order from element `c` on, given accumulators
+/// s0..s3 for elements [0, c): four independent accumulators over groups
+/// of four, the tail into s0, then ((s0 + s1) + (s2 + s3)).
+template <typename Elem>
+inline float DotFrom(const float* a, const Elem* b, int64_t d, int64_t c,
+                     float s0, float s1, float s2, float s3) {
+  for (; c + 4 <= d; c += 4) {
+    s0 += a[c] * Widen(b[c]);
+    s1 += a[c + 1] * Widen(b[c + 1]);
+    s2 += a[c + 2] * Widen(b[c + 2]);
+    s3 += a[c + 3] * Widen(b[c + 3]);
+  }
+  for (; c < d; ++c) s0 += a[c] * Widen(b[c]);
+  return ((s0 + s1) + (s2 + s3));
+}
+
 /// Shared dot-product kernel. Four independent accumulators let the
 /// compiler keep the FMA pipeline busy; since *every* path uses this
 /// function, accumulation order is identical and scores are bit-equal.
 inline float Dot(const float* a, const float* b, int64_t d) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+  return DotFrom(a, b, d, 0, 0.0f, 0.0f, 0.0f, 0.0f);
+}
+
+/// Dot of an fp32 query and a bf16 row, bit-identical to Dot over the
+/// decoded fp32 row. The main loop keeps s0..s3 as the four lanes of one
+/// vector and decodes eight elements at a time: interleaving zero low
+/// halves with the bf16 patterns is the exact bit shift.
+inline float Dot(const float* a, const uint16_t* b, int64_t d) {
+  static_assert(std::endian::native == std::endian::little);
+  using F4 = float __attribute__((vector_size(16)));
+  using U8 = uint16_t __attribute__((vector_size(16)));
+  const U8 zero = {};
+  F4 acc = {};
   int64_t c = 0;
-  for (; c + 4 <= d; c += 4) {
-    s0 += a[c] * b[c];
-    s1 += a[c + 1] * b[c + 1];
-    s2 += a[c + 2] * b[c + 2];
-    s3 += a[c + 3] * b[c + 3];
+  for (; c + 8 <= d; c += 8) {
+    U8 bits;
+    F4 lo;
+    F4 hi;
+    std::memcpy(&bits, b + c, sizeof(bits));
+    std::memcpy(&lo, a + c, sizeof(lo));
+    std::memcpy(&hi, a + c + 4, sizeof(hi));
+    acc += lo * std::bit_cast<F4>(__builtin_shufflevector(
+                    zero, bits, 0, 8, 1, 9, 2, 10, 3, 11));
+    acc += hi * std::bit_cast<F4>(__builtin_shufflevector(
+                    zero, bits, 4, 12, 5, 13, 6, 14, 7, 15));
   }
-  for (; c < d; ++c) s0 += a[c] * b[c];
-  return ((s0 + s1) + (s2 + s3));
+  return DotFrom(a, b, d, c, acc[0], acc[1], acc[2], acc[3]);
 }
 
 /// Squared L2 distance with a fixed single-accumulator order; used for
@@ -126,20 +166,9 @@ class BoundedTopK {
   }
 
  private:
-  void OfferSlow(float score, int64_t id) {
-    const Candidate c{score, id};
-    if (static_cast<int64_t>(heap_.size()) < k_) {
-      heap_.push_back(c);
-      std::push_heap(heap_.begin(), heap_.end(), Better);
-      full_ = static_cast<int64_t>(heap_.size()) == k_;
-    } else {
-      if (!Better(c, heap_.front())) return;
-      std::pop_heap(heap_.begin(), heap_.end(), Better);
-      heap_.back() = c;
-      std::push_heap(heap_.begin(), heap_.end(), Better);
-    }
-    worst_score_ = heap_.front().score;
-  }
+  /// Out of line (pipeline.cc), so Offer's one-compare fast path inlines
+  /// into every scan loop.
+  void OfferSlow(float score, int64_t id);
 
   int64_t k_;
   bool full_ = false;

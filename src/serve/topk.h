@@ -7,6 +7,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/embedding_store.h"
+#include "serve/pipeline.h"
 #include "serve/retriever.h"
 #include "tensor/tensor.h"
 
@@ -47,34 +48,25 @@ struct TopKOptions {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Resolves the rerank_candidates policy above to a concrete C for one
-/// (k, n) query; shared by TopKRetriever and the IVF second stage.
-int64_t ResolveRerankCandidates(int64_t requested, int64_t k, int64_t n);
-
 /// Batched exact cosine top-k over an EmbeddingStore — the brute-force
 /// Retriever. Queries are L2-normalized internally, so scores are true
 /// cosine similarities. Two paths share one dot-product kernel and one
 /// ordering contract (serve/scoring.h) and therefore return bit-identical
 /// results:
 ///
-///  - Retrieve: blocked scan with a per-query bounded heap, parallelized
-///    across the query batch via ThreadPool::ParallelFor;
+///  - Retrieve: the all-rows candidate generator of the RetrievalPipeline
+///    (serve/pipeline.h) — a blocked scan, row blocks outside and the
+///    queries of a worker's chunk inside, parallelized across the query
+///    batch via ThreadPool::ParallelFor;
 ///  - RetrieveBruteForce: single-threaded full score vector + sort, the
 ///    exact reference used by the tests and the bench baseline.
 ///
 /// Each call scans one EmbeddingSnapshot, so retrieval racing a concurrent
 /// EmbeddingStore::Reload sees either the fully-old or the fully-new
-/// table, never a mix.
-///
-/// Quantized tables: bf16 rows are decoded (exactly) block-by-block and
-/// scored with the same fp32 Dot, one pass. int8 rows go through two
-/// stages — an integer candidate scan (scoring::Int8Score, scalar or AVX2,
-/// bit-identical either way) keeps the best `rerank_candidates` per query,
-/// then those rows are re-scored with the shared fp32 Dot/Better contract
-/// — from dequantized codes, or from original fp32 rows when a
-/// `rerank_source` is attached. Both stages use strict total orders, so
-/// results stay bit-identical across thread counts, block sizes and ISA —
-/// see docs/SERVING.md "Quantized serving".
+/// table, never a mix. Quantized tables (bf16 scored exactly, int8 by an
+/// integer scan plus fp32 re-rank of `rerank_candidates` survivors) go
+/// through the pipeline's per-dtype scorers — see docs/SERVING.md
+/// "Quantized serving".
 ///
 /// Edge-case contract (regression-tested in tests/serve/topk_test.cc):
 /// k <= 0 yields empty per-query results; k > size() is clamped to
@@ -91,12 +83,12 @@ class TopKRetriever : public Retriever {
   std::vector<TopKResult> Retrieve(const tensor::Tensor& queries,
                                    int64_t k) const;
 
-  /// Overload ladder: at kNoRefine the int8 stage-2 re-rank skips the
-  /// fp32 `rerank_source` refinement and scores survivors from dequantized
-  /// codes only — no checkpoint row fetches on an overloaded box. Other
-  /// rungs (and fp32/bf16 tables, which have no refinement to shed) serve
-  /// full quality; once the governor steps back to kNone, results are
-  /// bit-identical to an unloaded queue because stage 1 candidates never
+  /// Overload ladder: at kNoRefine the int8 re-rank runs without the fp32
+  /// `rerank_source` — survivors are scored from dequantized codes only, no
+  /// checkpoint row fetches on an overloaded box. Other rungs (and
+  /// fp32/bf16 tables, which have no refinement to shed) serve full
+  /// quality; once the governor steps back to kNone, results are
+  /// bit-identical to an unloaded queue because stage-1 candidates never
   /// depended on the refinement source.
   std::vector<TopKResult> RetrieveDegraded(
       const float* queries, int64_t num_queries, int64_t k,
@@ -112,18 +104,15 @@ class TopKRetriever : public Retriever {
   const EmbeddingStore& store() const { return *store_; }
 
  private:
-  /// Shared scan; `source` is the refinement row source to use for the
-  /// int8 stage-2 (null = dequantized codes only).
+  /// The one scan behind Retrieve and RetrieveDegraded; `source` is the
+  /// int8 refinement source (null = dequantized codes only).
   std::vector<TopKResult> RetrieveImpl(const float* queries,
                                        int64_t num_queries, int64_t k,
                                        const RowSource* source) const;
 
   const EmbeddingStore* store_;
   TopKOptions options_;
-  obs::Counter* int8_queries_;    // owned by the registry
-  obs::Counter* bf16_queries_;    // owned by the registry
-  obs::Counter* source_errors_;   // owned by the registry
-  obs::Histogram* rerank_width_;  // owned by the registry
+  RetrievalPipeline pipeline_;
 };
 
 }  // namespace desalign::serve

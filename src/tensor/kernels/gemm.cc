@@ -34,6 +34,7 @@ namespace rowaxpy {
 
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {
+  if (n == 0) return;  // y is empty and may be null, which memset rejects
   if (n == 1) {
     // One output column: a length-1 span::Axpy per term costs a call per
     // element. Accumulate each row in a register instead, same chain: +0.0,
@@ -81,6 +82,7 @@ void MatMulGradA(const float* g, const float* b, float* ga, int64_t m,
   // but the inner loop has no loop-carried dependence and vectorizes.
   // Terms with g[i,j] == 0 are NOT skipped — the serial dot included them,
   // and +0.0 is not always a bitwise no-op (-0.0 + 0.0 == +0.0).
+  if (m <= 0 || k <= 0) return;  // ga is empty; tmp would be null below
   if (n == 1) {
     // Each dot has a single term: ga[i,p] += (0.0f + g[i] * b[p]). The
     // explicit +0.0 start is the serial dot's, and it is not a no-op: it

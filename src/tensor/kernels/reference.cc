@@ -379,7 +379,8 @@ void TransposeAcc(const float* g, float* out, int64_t m, int64_t n) {
 
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {
-  std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
+  // y may be null when m * n == 0, and memset's pointer must not be.
+  if (m * n > 0) std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       const float av = a[i * k + p];

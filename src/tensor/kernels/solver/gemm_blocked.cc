@@ -152,7 +152,8 @@ void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n, IsaLevel isa) {
   // reference.cc zeroes y then accumulates i,p,j with the zero-a skip; the
   // memset covers k == 0 the same way the reference's empty p-loop does.
-  std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
+  // y may be null when m * n == 0, and memset's pointer must not be.
+  if (m * n > 0) std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
   GemmAccumulate(a, b, y, m, k, n, /*skip_zero_a=*/true, isa);
 }
 

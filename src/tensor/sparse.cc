@@ -74,7 +74,10 @@ CsrMatrixPtr CsrMatrix::Identity(int64_t n) {
 }
 
 void CsrMatrix::Multiply(const float* x, int64_t k, float* y) const {
-  std::memset(y, 0, sizeof(float) * static_cast<size_t>(rows_ * k));
+  // y may be null when rows_ * k == 0, and memset's pointer must not be.
+  if (rows_ * k > 0) {
+    std::memset(y, 0, sizeof(float) * static_cast<size_t>(rows_ * k));
+  }
   // Row-partitioned: each thread owns disjoint output rows, so the
   // accumulation order (and hence the float result) is fixed.
   common::ThreadPool::Global().ParallelFor(

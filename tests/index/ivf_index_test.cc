@@ -61,7 +61,7 @@ void ExpectSameResults(const std::vector<TopKResult>& actual,
 TEST(IvfRetrieverTest, FullProbeBitExactVsBruteForceAcrossShardsAndThreads) {
   // The acceptance oracle: nprobe = num_centroids scans every inverted
   // list, so the candidate set is the whole table and the shared total
-  // order forces byte-identical output — per thread count AND shard count.
+  // order forces byte-identical output at every thread count.
   const int64_t dim = 16;
   const int64_t n = 500;
   auto store = EmbeddingStore::FromRows(n, dim, RandomRows(n, dim, 3));
@@ -69,20 +69,16 @@ TEST(IvfRetrieverTest, FullProbeBitExactVsBruteForceAcrossShardsAndThreads) {
   const auto queries = RandomRows(37, dim, 101);
   for (const int threads : {1, 2, 5}) {
     common::ThreadPool pool(threads);
-    for (const int shards : {1, 3, 8}) {
-      IvfOptions options;
-      options.num_centroids = 20;
-      options.num_shards = shards;
-      options.pool = &pool;
-      IvfRetriever ivf(&store, options);
-      ASSERT_EQ(ivf.num_centroids(), 20);
-      ASSERT_EQ(ivf.num_shards(), shards);
-      for (const int64_t k : {1, 10, 500}) {
-        const auto expected = brute.RetrieveBruteForce(queries.data(), 37, k);
-        const auto actual =
-            ivf.RetrieveWithProbe(queries.data(), 37, k, /*nprobe=*/20);
-        ExpectSameResults(actual, expected);
-      }
+    IvfOptions options;
+    options.num_centroids = 20;
+    options.pool = &pool;
+    IvfRetriever ivf(&store, options);
+    ASSERT_EQ(ivf.num_centroids(), 20);
+    for (const int64_t k : {1, 10, 500}) {
+      const auto expected = brute.RetrieveBruteForce(queries.data(), 37, k);
+      const auto actual =
+          ivf.RetrieveWithProbe(queries.data(), 37, k, /*nprobe=*/20);
+      ExpectSameResults(actual, expected);
     }
   }
 }
@@ -96,19 +92,53 @@ TEST(IvfRetrieverTest, PartialProbeIsDeterministicAcrossShardsAndThreads) {
   std::vector<TopKResult> reference;
   for (const int threads : {1, 2, 5}) {
     common::ThreadPool pool(threads);
-    for (const int shards : {1, 4, 7}) {
-      IvfOptions options;
-      options.num_centroids = 16;
-      options.num_shards = shards;
-      options.pool = &pool;
-      IvfRetriever ivf(&store, options);
-      const auto got = ivf.RetrieveWithProbe(queries.data(), 25, 10, 4);
-      if (reference.empty()) {
-        reference = got;
-      } else {
-        ExpectSameResults(got, reference);
-      }
+    IvfOptions options;
+    options.num_centroids = 16;
+    options.pool = &pool;
+    IvfRetriever ivf(&store, options);
+    const auto got = ivf.RetrieveWithProbe(queries.data(), 25, 10, 4);
+    if (reference.empty()) {
+      reference = got;
+    } else {
+      ExpectSameResults(got, reference);
     }
+  }
+}
+
+TEST(IvfRetrieverTest, FullProbeMatchesTopKAndQuantCountersForEveryDtype) {
+  // Both retrievers run the one pipeline, so over the same fp32, bf16 or
+  // int8 table a full probe returns TopKRetriever's bytes and counts the
+  // same `quant.*` queries.
+  const int64_t dim = 24;
+  const int64_t n = 400;
+  const auto fp32 = EmbeddingStore::FromRows(n, dim, RandomRows(n, dim, 81));
+  const auto queries = RandomRows(19, dim, 82);
+  for (const auto dtype : {nn::TensorDtype::kFloat32, nn::TensorDtype::kBf16,
+                           nn::TensorDtype::kInt8}) {
+    auto store = fp32.Quantize(dtype).value();
+    obs::MetricsRegistry topk_registry;
+    serve::TopKOptions topk_options;
+    topk_options.block_rows = 64;
+    topk_options.registry = &topk_registry;
+    serve::TopKRetriever topk(&store, topk_options);
+    obs::MetricsRegistry ivf_registry;
+    IvfOptions ivf_options;
+    ivf_options.num_centroids = 12;
+    ivf_options.registry = &ivf_registry;
+    IvfRetriever ivf(&store, ivf_options);
+    ExpectSameResults(ivf.RetrieveWithProbe(queries.data(), 19, 10, 12),
+                      topk.Retrieve(queries.data(), 19, 10));
+    for (const char* name : {"quant.int8_queries", "quant.bf16_queries"}) {
+      EXPECT_EQ(ivf_registry.GetCounter(name).value(),
+                topk_registry.GetCounter(name).value())
+          << nn::DtypeName(dtype) << " " << name;
+    }
+    const int64_t expected_bf16 = dtype == nn::TensorDtype::kBf16 ? 19 : 0;
+    const int64_t expected_int8 = dtype == nn::TensorDtype::kInt8 ? 19 : 0;
+    EXPECT_EQ(ivf_registry.GetCounter("quant.bf16_queries").value(),
+              expected_bf16);
+    EXPECT_EQ(ivf_registry.GetCounter("quant.int8_queries").value(),
+              expected_int8);
   }
 }
 

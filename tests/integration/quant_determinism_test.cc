@@ -1,8 +1,8 @@
 // Determinism suite for the quantized serving path: the int8 candidate
 // scan + fp32 re-rank (and the bf16 single-pass scan) must return
-// bit-identical results across thread counts, block sizes, shard counts
-// and kernel ISA, and IVF-over-int8 at full probe with exact re-rank must
-// reproduce the dequantized brute-force reference byte for byte. Any
+// bit-identical results across thread counts, block sizes and kernel
+// ISA, and IVF-over-int8 at full probe with exact re-rank must reproduce
+// the dequantized brute-force reference byte for byte. Any
 // divergence here means a float accumulated in a thread-dependent order —
 // exactly the bug class the serving determinism contract forbids.
 
@@ -130,18 +130,15 @@ TEST(QuantDeterminismTest, IvfOverInt8IdenticalAcrossShardsAndThreads) {
   std::vector<std::vector<TopKResult>> runs;
   for (const int threads : {1, 4}) {
     common::ThreadPool pool(threads);
-    for (const int shards : {1, 3, 4}) {
-      for (const auto isa : {tensor::kernels::IsaLevel::kScalar,
-                             tensor::kernels::IsaLevel::kAvx2}) {
-        tensor::kernels::SetIsaOverride(isa);
-        index::IvfOptions options;
-        options.pool = &pool;
-        options.num_shards = shards;
-        options.num_centroids = 16;
-        options.nprobe = 4;
-        const index::IvfRetriever ivf(&qstore, options);
-        runs.push_back(ivf.Retrieve(queries.data(), kQueries, kTopK));
-      }
+    for (const auto isa : {tensor::kernels::IsaLevel::kScalar,
+                           tensor::kernels::IsaLevel::kAvx2}) {
+      tensor::kernels::SetIsaOverride(isa);
+      index::IvfOptions options;
+      options.pool = &pool;
+      options.num_centroids = 16;
+      options.nprobe = 4;
+      const index::IvfRetriever ivf(&qstore, options);
+      runs.push_back(ivf.Retrieve(queries.data(), kQueries, kTopK));
     }
   }
   for (size_t r = 1; r < runs.size(); ++r) {
@@ -164,7 +161,6 @@ TEST(QuantDeterminismTest, IvfFullProbeExactRerankMatchesBruteForce) {
 
   index::IvfOptions options;
   options.num_centroids = 16;
-  options.num_shards = 3;
   options.rerank_candidates = -1;  // exact fp32 re-rank of every candidate
   const index::IvfRetriever ivf(&qstore, options);
   ExpectSameResults(

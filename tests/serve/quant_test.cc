@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -162,6 +163,26 @@ TEST(Bf16Test, NaNStaysNaNAndRowCodecMatchesScalar) {
     EXPECT_EQ(enc[j], Bf16FromFloat(row[j]));
     EXPECT_EQ(dec[j], FloatFromBf16(enc[j]));
     EXPECT_NEAR(dec[j], row[j], std::fabs(row[j]) * 0.0079f);  // 2^-7
+  }
+}
+
+TEST(Bf16Test, DotMatchesDotOverDecodedRowForEveryLength) {
+  // The bf16 scorer decodes in place, eight elements per vector step; its
+  // bits must equal Dot over the decoded row for every length, i.e. for
+  // every split into vector steps, one group of four and a scalar tail.
+  auto query = RandomRow(41, 17);
+  auto row = RandomRow(41, 18);
+  row[3] = -0.0f;  // a -0.0 product must not flip an accumulator's sign
+  query[3] = 0.5f;
+  std::vector<uint16_t> enc(row.size());
+  Bf16EncodeRow(row.data(), 41, enc.data());
+  std::vector<float> dec(row.size());
+  Bf16DecodeRow(enc.data(), 41, dec.data());
+  for (int64_t d = 0; d <= 41; ++d) {
+    const float bf16 = scoring::Dot(query.data(), enc.data(), d);
+    const float fp32 = scoring::Dot(query.data(), dec.data(), d);
+    EXPECT_EQ(std::bit_cast<uint32_t>(bf16), std::bit_cast<uint32_t>(fp32))
+        << "d = " << d;
   }
 }
 
