@@ -16,9 +16,6 @@ namespace {
 using serve::scoring::BoundedTopK;
 using serve::scoring::SquaredL2;
 
-/// Lloyd iterations of the coarse quantizer.
-constexpr int kKMeansIterations = 8;
-
 int64_t ResolveCentroids(int64_t requested, int64_t n) {
   if (n <= 0) return 0;
   if (requested > 0) return std::min(requested, n);
@@ -60,7 +57,6 @@ void IvfRetriever::Rebuild() {
   if (n > 0) {
     KMeansOptions kopts;
     kopts.num_centroids = ResolveCentroids(options_.num_centroids, n);
-    kopts.iterations = kKMeansIterations;
     kopts.seed = options_.seed;
     kopts.sample_rows = options_.kmeans_sample_rows;
     kopts.pool = options_.pool;
