@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "graph/dirichlet.h"
 #include "nn/checkpoint.h"
-#include "nn/serialize.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -308,22 +307,7 @@ void FusionAlignModel::RunEpochs(const std::vector<kg::AlignmentPair>& seeds,
   // decayed scale so repeated instability keeps shrinking the LR.
   const auto restore = [&](const nn::TrainingCheckpoint& ckpt,
                            bool restore_lr_scale) -> common::Status {
-    if (ckpt.tensors.size() != params.size()) {
-      return common::Status::InvalidArgument(
-          "checkpoint holds " + std::to_string(ckpt.tensors.size()) +
-          " tensors, model has " + std::to_string(params.size()));
-    }
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (ckpt.tensors[i]->rows() != params[i]->rows() ||
-          ckpt.tensors[i]->cols() != params[i]->cols()) {
-        return common::Status::InvalidArgument(
-            "checkpoint tensor " + std::to_string(i) +
-            " shape does not match the model");
-      }
-    }
-    for (size_t i = 0; i < params.size(); ++i) {
-      params[i]->data() = ckpt.tensors[i]->data();
-    }
+    DESALIGN_RETURN_NOT_OK(nn::RestoreParameters(ckpt.tensors, params));
     if (ckpt.has_optimizer) {
       DESALIGN_RETURN_NOT_OK(
           optimizer.RestoreState(ckpt.opt_step, ckpt.opt_m, ckpt.opt_v));
@@ -374,7 +358,7 @@ void FusionAlignModel::RunEpochs(const std::vector<kg::AlignmentPair>& seeds,
     common::Stopwatch ckpt_clock;
     nn::TrainingCheckpoint ckpt;
     ckpt.epoch = epoch;
-    ckpt.tensors = params;
+    ckpt.tensors = nn::ParameterRecords(params);
     ckpt.has_optimizer = true;
     ckpt.opt_step = optimizer.step_count();
     ckpt.opt_m = optimizer.moment1();
@@ -520,9 +504,9 @@ common::Status FusionAlignModel::SaveCheckpoint(
     return common::Status::FailedPrecondition(
         "model has no parameters yet; Fit or Warmup first");
   }
-  // Params-only v2 checkpoint: checksummed and atomically published.
+  // Params-only checkpoint: checksummed and atomically published.
   nn::TrainingCheckpoint ckpt;
-  ckpt.tensors = CollectParameters();
+  ckpt.tensors = nn::ParameterRecords(CollectParameters());
   return nn::SaveCheckpoint(ckpt, path);
 }
 
@@ -531,7 +515,9 @@ common::Status FusionAlignModel::LoadCheckpoint(const std::string& path) {
     return common::Status::FailedPrecondition(
         "model has no parameters yet; Warmup with the dataset first");
   }
-  return nn::LoadParameters(CollectParameters(), path);
+  DESALIGN_ASSIGN_OR_RETURN(nn::TrainingCheckpoint ckpt,
+                            nn::LoadCheckpoint(path));
+  return nn::RestoreParameters(ckpt.tensors, CollectParameters());
 }
 
 std::vector<int64_t> FusionAlignModel::TestSourceRows(

@@ -448,7 +448,7 @@ Status CmdSweep(const std::vector<std::string>& args, std::ostream& out) {
 
 // serve-bench: the full online-retrieval journey — generate (or load) a
 // dataset, train a fusion model briefly, persist its fused embeddings
-// through an nn::serialize checkpoint, rebuild an EmbeddingStore from that
+// through a checkpoint (nn/checkpoint.h), rebuild an EmbeddingStore from that
 // checkpoint, then replay queries through BatchQueue + TopKRetriever from
 // concurrent submitter threads and report latency/throughput.
 Status CmdServeBench(const std::vector<std::string>& args,
@@ -786,8 +786,8 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
 }
 
 // quantize: offline checkpoint conversion — loads an embedding tensor from
-// any supported checkpoint (v1/v2/v3), quantizes it row-wise, and writes a
-// dtype-tagged v3 checkpoint a serving process can Load or Reload.
+// any readable checkpoint (v3, or a v2 file from before v3), quantizes it
+// row-wise, and writes a v3 checkpoint a serving process can Load or Reload.
 Status CmdQuantize(const std::vector<std::string>& args, std::ostream& out) {
   FlagParser parser(
       "desalign quantize: convert a checkpoint's embedding table to "
@@ -796,7 +796,8 @@ Status CmdQuantize(const std::vector<std::string>& args, std::ostream& out) {
   std::string out_path;
   std::string dtype_name;
   int64_t tensor_index;
-  parser.AddString("in", "", "input checkpoint (v1/v2/v3)", &in_path);
+  parser.AddString("in", "", "input checkpoint (v3, or v2 from before v3)",
+                   &in_path);
   parser.AddString("out", "", "output v3 checkpoint path", &out_path);
   parser.AddString("dtype", "int8", "target dtype: int8|bf16|fp32",
                    &dtype_name);

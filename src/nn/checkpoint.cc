@@ -9,7 +9,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "nn/serialize.h"
 
 namespace desalign::nn {
 
@@ -19,60 +18,46 @@ using common::Crc32;
 using common::Result;
 using common::Status;
 
-// v2 layout (docs/ROBUSTNESS.md):
-//   kMagic
+// v3 layout, the one that is written (docs/ROBUSTNESS.md):
+//   kMagicV3
 //   -- footer-checksummed region --
-//   u32 version | i64 epoch | u32 flags | i64 tensor_count
-//   per tensor: i64 rows | i64 cols | f32[rows*cols] | u32 crc(payload)
+//   u32 version(3) | i64 epoch | u32 flags | i64 tensor_count
+//   per tensor: u8 dtype | i64 rows | i64 cols |
+//     dtype 0 (fp32): f32[rows*cols] | u32 crc
+//     dtype 1 (int8): i64 scale_count | f32 scales[scale_count] | u32 crc
+//                     | i8 codes[rows*cols] | u32 crc
+//     dtype 2 (bf16): u16[rows*cols] | u32 crc
 //   [flags&kHasOptimizer] i64 step; per tensor: f32[] m, u32 crc,
 //                                               f32[] v, u32 crc
 //   [flags&kHasRng]       i64 len | bytes | u32 crc
 //   [flags&kHasTrain]     f32 best_loss | i32 stall | f32 lr_scale
 //   -- region ends --
 //   u32 footer_crc(region) | kEndMarker
-constexpr char kMagic[] = "DESALIGNCKPT2\n";
-constexpr size_t kMagicLen = sizeof(kMagic) - 1;
+// scale_count is stored explicitly (it must equal rows) so a file whose
+// scale array disagrees with its shape is rejected as corrupt instead of
+// silently misframing every record after it. flags must be 0 when any
+// record is quantized.
+//
+// v2 (read only) is the same with kMagicV2, version 2 and no dtype byte:
+// every record is fp32.
+constexpr char kMagicV3[] = "DESALIGNCKPT3\n";
+constexpr char kMagicV2[] = "DESALIGNCKPT2\n";
+constexpr size_t kMagicLen = sizeof(kMagicV3) - 1;
+static_assert(sizeof(kMagicV2) == sizeof(kMagicV3),
+              "v2/v3 magics must share a length");
 constexpr char kEndMarker[] = "DCKPTEND";
 constexpr size_t kEndMarkerLen = sizeof(kEndMarker) - 1;
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersionV2 = 2;
+constexpr uint32_t kVersionV3 = 3;
 constexpr uint32_t kHasOptimizer = 1;
 constexpr uint32_t kHasRng = 2;
 constexpr uint32_t kHasTrain = 4;
-
-// v3 layout (docs/ROBUSTNESS.md): same envelope (magic, footer CRC over the
-// body, end marker), but every tensor record carries a dtype tag and a
-// dtype-specific payload. v3 files are params-only (flags must be 0).
-//   kMagicV3
-//   -- footer-checksummed region --
-//   u32 version(3) | i64 epoch | u32 flags(0) | i64 tensor_count
-//   per tensor: u8 dtype | i64 rows | i64 cols |
-//     dtype 0 (fp32): f32[rows*cols] | u32 crc
-//     dtype 1 (int8): i64 scale_count | f32 scales[scale_count] | u32 crc
-//                     | i8 codes[rows*cols] | u32 crc
-//     dtype 2 (bf16): u16[rows*cols] | u32 crc
-//   -- region ends --
-//   u32 footer_crc(region) | kEndMarker
-// scale_count is stored explicitly (it must equal rows) so a file whose
-// scale array disagrees with its shape is rejected as corrupt instead of
-// silently misframing every record after it.
-constexpr char kMagicV3[] = "DESALIGNCKPT3\n";
-constexpr size_t kMagicV3Len = sizeof(kMagicV3) - 1;
-constexpr uint32_t kVersionV3 = 3;
-static_assert(kMagicV3Len == kMagicLen, "v2/v3 magics must share a length");
-
-constexpr char kLegacyMagic[] = "DESALIGNPARAMS1";
-constexpr size_t kLegacyMagicLen = sizeof(kLegacyMagic) - 1;
+constexpr uint32_t kKnownFlags = kHasOptimizer | kHasRng | kHasTrain;
 
 template <typename T>
 void Append(std::string* out, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-void AppendFloats(std::string* out, const std::vector<float>& values) {
-  out->append(reinterpret_cast<const char*>(values.data()),
-              values.size() * sizeof(float));
-  Append<uint32_t>(out, Crc32(values.data(), values.size() * sizeof(float)));
 }
 
 template <typename T>
@@ -104,20 +89,17 @@ class ByteReader {
   template <typename T>
   bool ReadArray(size_t count, std::vector<T>* out, bool* crc_ok) {
     static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) return false;
     const size_t payload = count * sizeof(T);
     if (remaining() < payload + sizeof(uint32_t)) return false;
     out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + pos_, payload);
+    if (payload > 0) std::memcpy(out->data(), bytes_.data() + pos_, payload);
     const uint32_t actual = Crc32(bytes_.data() + pos_, payload);
     pos_ += payload;
     uint32_t stored = 0;
     Read(&stored);
     *crc_ok = stored == actual;
     return true;
-  }
-
-  bool ReadFloats(size_t count, std::vector<float>* out, bool* crc_ok) {
-    return ReadArray<float>(count, out, crc_ok);
   }
 
   bool ReadString(size_t count, std::string* out) {
@@ -127,6 +109,7 @@ class ByteReader {
     return true;
   }
 
+  size_t pos() const { return pos_; }
   size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
@@ -138,250 +121,51 @@ Status Corrupt(const std::string& path, const std::string& detail) {
   return Status::IoError("corrupt checkpoint " + path + ": " + detail);
 }
 
-std::string SealFile(const char* magic, const std::string& body) {
-  std::string file;
-  file.reserve(kMagicLen + body.size() + sizeof(uint32_t) + kEndMarkerLen);
-  file.append(magic, kMagicLen);
-  file.append(body);
-  Append<uint32_t>(&file, Crc32(body.data(), body.size()));
-  file.append(kEndMarker, kEndMarkerLen);
-  return file;
+std::string TensorName(size_t i) { return "tensor " + std::to_string(i); }
+
+Status CheckPayloadSize(const QuantTensor& q, size_t i) {
+  const size_t elems = static_cast<size_t>(q.rows * q.cols);
+  bool ok = q.rows >= 0 && q.cols >= 0;
+  switch (q.dtype) {
+    case TensorDtype::kFloat32:
+      ok = ok && q.f32.size() == elems;
+      break;
+    case TensorDtype::kInt8:
+      ok = ok && q.codes.size() == elems &&
+           q.scales.size() == static_cast<size_t>(q.rows);
+      break;
+    case TensorDtype::kBf16:
+      ok = ok && q.bf16.size() == elems;
+      break;
+    default:
+      return Status::InvalidArgument(TensorName(i) +
+                                     ": unknown dtype");
+  }
+  if (!ok) {
+    return Status::InvalidArgument(TensorName(i) +
+                                   ": " + DtypeName(q.dtype) +
+                                   " payload size mismatch");
+  }
+  return Status::Ok();
 }
 
-Status SaveCheckpointV3(const TrainingCheckpoint& ckpt,
-                        const std::string& path) {
-  if (!ckpt.tensors.empty()) {
-    return Status::InvalidArgument(
-        "a v3 checkpoint stores quant_tensors only; move fp32 tensors into "
-        "quant_tensors as kFloat32 records");
-  }
-  if (ckpt.has_optimizer || ckpt.has_rng || ckpt.has_train_state) {
-    return Status::InvalidArgument(
-        "quantized checkpoints are params-only snapshots; optimizer / rng / "
-        "train state cannot be attached");
-  }
-  std::string body;
-  Append<uint32_t>(&body, kVersionV3);
-  Append<int64_t>(&body, ckpt.epoch);
-  Append<uint32_t>(&body, 0);  // flags: always 0 in v3
-  Append<int64_t>(&body, static_cast<int64_t>(ckpt.quant_tensors.size()));
-  for (size_t i = 0; i < ckpt.quant_tensors.size(); ++i) {
-    const QuantTensor& q = ckpt.quant_tensors[i];
-    const size_t elems = static_cast<size_t>(q.rows * q.cols);
-    Append<uint8_t>(&body, static_cast<uint8_t>(q.dtype));
-    Append<int64_t>(&body, q.rows);
-    Append<int64_t>(&body, q.cols);
-    switch (q.dtype) {
-      case TensorDtype::kFloat32:
-        if (q.f32.size() != elems) {
-          return Status::InvalidArgument("tensor " + std::to_string(i) +
-                                         ": fp32 payload size mismatch");
-        }
-        AppendArray(&body, q.f32);
-        break;
-      case TensorDtype::kInt8:
-        if (q.codes.size() != elems ||
-            q.scales.size() != static_cast<size_t>(q.rows)) {
-          return Status::InvalidArgument("tensor " + std::to_string(i) +
-                                         ": int8 payload size mismatch");
-        }
-        Append<int64_t>(&body, static_cast<int64_t>(q.scales.size()));
-        AppendArray(&body, q.scales);
-        AppendArray(&body, q.codes);
-        break;
-      case TensorDtype::kBf16:
-        if (q.bf16.size() != elems) {
-          return Status::InvalidArgument("tensor " + std::to_string(i) +
-                                         ": bf16 payload size mismatch");
-        }
-        AppendArray(&body, q.bf16);
-        break;
-      default:
-        return Status::InvalidArgument("tensor " + std::to_string(i) +
-                                       ": unknown dtype");
-    }
-  }
-  return common::AtomicWriteFile(path, SealFile(kMagicV3, body),
-                                 "ckpt.write");
-}
-
-Result<TrainingCheckpoint> LoadCheckpointV3(const std::string& path,
-                                            ByteReader& reader) {
-  uint32_t version = 0;
+/// The header fields shared by v2 and v3.
+struct Header {
+  bool v3 = true;
+  int64_t epoch = 0;
   uint32_t flags = 0;
   int64_t tensor_count = 0;
-  TrainingCheckpoint ckpt;
-  if (!reader.Read(&version) || !reader.Read(&ckpt.epoch) ||
-      !reader.Read(&flags) || !reader.Read(&tensor_count)) {
-    return Corrupt(path, "truncated header");
-  }
-  if (version != kVersionV3) {
-    return Status::IoError(path + " has unsupported checkpoint version " +
-                           std::to_string(version));
-  }
-  if (flags != 0) {
-    return Corrupt(path, "v3 checkpoint with nonzero flags " +
-                             std::to_string(flags));
-  }
-  if (tensor_count < 0 || ckpt.epoch < 0) {
-    return Corrupt(path, "negative header field");
-  }
-  bool crc_ok = true;
-  for (int64_t t = 0; t < tensor_count; ++t) {
-    QuantTensor q;
-    uint8_t dtype_tag = 0;
-    if (!reader.Read(&dtype_tag) || !reader.Read(&q.rows) ||
-        !reader.Read(&q.cols)) {
-      return Corrupt(path, "truncated tensor header");
-    }
-    if (dtype_tag > static_cast<uint8_t>(TensorDtype::kBf16)) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " has unknown dtype id " +
-                               std::to_string(dtype_tag));
-    }
-    q.dtype = static_cast<TensorDtype>(dtype_tag);
-    const size_t elem_bytes = DtypeBytes(q.dtype);
-    if (q.rows < 0 || q.cols < 0 ||
-        (q.cols > 0 &&
-         q.rows > static_cast<int64_t>(reader.remaining() / elem_bytes) /
-                      q.cols)) {
-      return Corrupt(path, "implausible tensor shape " +
-                               std::to_string(q.rows) + "x" +
-                               std::to_string(q.cols));
-    }
-    const size_t elems = static_cast<size_t>(q.rows * q.cols);
-    switch (q.dtype) {
-      case TensorDtype::kFloat32:
-        if (!reader.ReadArray(elems, &q.f32, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-      case TensorDtype::kInt8: {
-        int64_t scale_count = 0;
-        if (!reader.Read(&scale_count)) {
-          return Corrupt(path, "truncated scale count");
-        }
-        if (scale_count != q.rows) {
-          return Corrupt(path, "tensor " + std::to_string(t) +
-                                   " scale count " +
-                                   std::to_string(scale_count) +
-                                   " does not match rows " +
-                                   std::to_string(q.rows));
-        }
-        if (!reader.ReadArray(static_cast<size_t>(scale_count), &q.scales,
-                              &crc_ok)) {
-          return Corrupt(path, "truncated scale payload");
-        }
-        if (!crc_ok) {
-          return Corrupt(path, "tensor " + std::to_string(t) +
-                                   " scale checksum mismatch");
-        }
-        if (!reader.ReadArray(elems, &q.codes, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-      }
-      case TensorDtype::kBf16:
-        if (!reader.ReadArray(elems, &q.bf16, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-    }
-    if (!crc_ok) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " checksum mismatch");
-    }
-    // Fill the fp32 view alongside the stored payload so every legacy
-    // consumer (LoadAllParameters, serve reload) reads v3 transparently.
-    ckpt.tensors.push_back(DequantizeTensor(q));
-    ckpt.quant_tensors.push_back(std::move(q));
-  }
-  if (reader.remaining() != 0) {
-    return Corrupt(path, std::to_string(reader.remaining()) +
-                             " unexpected trailing bytes");
-  }
-  return ckpt;
-}
+};
 
-}  // namespace
-
-Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
-                      const std::string& path) {
-  if (!ckpt.quant_tensors.empty()) {
-    return SaveCheckpointV3(ckpt, path);
+/// Checks magic, end marker and footer CRC of `bytes`, then reads the
+/// header. On success `*reader` is positioned at the first record.
+Status OpenBody(const std::string& path, std::string_view bytes,
+                Header* header, ByteReader* reader) {
+  if (bytes.size() < kMagicLen + sizeof(uint32_t) + kEndMarkerLen) {
+    return Status::IoError(path + " is not a DESAlign checkpoint");
   }
-  if (ckpt.has_optimizer && (ckpt.opt_m.size() != ckpt.tensors.size() ||
-                             ckpt.opt_v.size() != ckpt.tensors.size())) {
-    return Status::InvalidArgument(
-        "optimizer moment count does not match tensor count");
-  }
-  std::string body;  // the footer-checksummed region
-  Append<uint32_t>(&body, kVersion);
-  Append<int64_t>(&body, ckpt.epoch);
-  const uint32_t flags = (ckpt.has_optimizer ? kHasOptimizer : 0) |
-                         (ckpt.has_rng ? kHasRng : 0) |
-                         (ckpt.has_train_state ? kHasTrain : 0);
-  Append<uint32_t>(&body, flags);
-  Append<int64_t>(&body, static_cast<int64_t>(ckpt.tensors.size()));
-  for (const auto& t : ckpt.tensors) {
-    Append<int64_t>(&body, t->rows());
-    Append<int64_t>(&body, t->cols());
-    AppendFloats(&body, t->data());
-  }
-  if (ckpt.has_optimizer) {
-    Append<int64_t>(&body, ckpt.opt_step);
-    for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
-      if (ckpt.opt_m[i].size() != ckpt.tensors[i]->data().size() ||
-          ckpt.opt_v[i].size() != ckpt.tensors[i]->data().size()) {
-        return Status::InvalidArgument(
-            "optimizer moment size does not match tensor " +
-            std::to_string(i));
-      }
-      AppendFloats(&body, ckpt.opt_m[i]);
-      AppendFloats(&body, ckpt.opt_v[i]);
-    }
-  }
-  if (ckpt.has_rng) {
-    Append<int64_t>(&body, static_cast<int64_t>(ckpt.rng_state.size()));
-    body.append(ckpt.rng_state);
-    Append<uint32_t>(&body,
-                     Crc32(ckpt.rng_state.data(), ckpt.rng_state.size()));
-  }
-  if (ckpt.has_train_state) {
-    Append<float>(&body, ckpt.best_loss);
-    Append<int32_t>(&body, ckpt.stall);
-    Append<float>(&body, ckpt.lr_scale);
-  }
-
-  return common::AtomicWriteFile(path, SealFile(kMagic, body), "ckpt.write");
-}
-
-bool IsVersionedCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[kMagicLen];
-  in.read(magic, kMagicLen);
-  return in && (std::memcmp(magic, kMagic, kMagicLen) == 0 ||
-                std::memcmp(magic, kMagicV3, kMagicV3Len) == 0);
-}
-
-Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::string bytes;
-  DESALIGN_RETURN_NOT_OK(
-      common::ReadFileToString(path, &bytes, "ckpt.read"));
-
-  if (bytes.size() >= kLegacyMagicLen &&
-      std::memcmp(bytes.data(), kLegacyMagic, kLegacyMagicLen) == 0) {
-    // Legacy SaveParameters file: params only, pre-checksum era.
-    DESALIGN_ASSIGN_OR_RETURN(auto tensors, LoadAllParameters(path));
-    TrainingCheckpoint ckpt;
-    ckpt.tensors = std::move(tensors);
-    return ckpt;
-  }
-  const bool is_v3 =
-      bytes.size() >= kMagicV3Len &&
-      std::memcmp(bytes.data(), kMagicV3, kMagicV3Len) == 0;
-  if (bytes.size() < kMagicLen + sizeof(uint32_t) + kEndMarkerLen ||
-      (!is_v3 && std::memcmp(bytes.data(), kMagic, kMagicLen) != 0)) {
+  header->v3 = std::memcmp(bytes.data(), kMagicV3, kMagicLen) == 0;
+  if (!header->v3 && std::memcmp(bytes.data(), kMagicV2, kMagicLen) != 0) {
     return Status::IoError(path + " is not a DESAlign checkpoint");
   }
   if (std::memcmp(bytes.data() + bytes.size() - kEndMarkerLen, kEndMarker,
@@ -396,73 +180,224 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
   if (Crc32(bytes.data() + kMagicLen, body_len) != footer_crc) {
     return Corrupt(path, "footer checksum mismatch");
   }
-
-  ByteReader reader(std::string_view(bytes).substr(kMagicLen, body_len));
-  if (is_v3) return LoadCheckpointV3(path, reader);
+  *reader = ByteReader(bytes.substr(kMagicLen, body_len));
   uint32_t version = 0;
-  uint32_t flags = 0;
-  int64_t tensor_count = 0;
-  TrainingCheckpoint ckpt;
-  if (!reader.Read(&version) || !reader.Read(&ckpt.epoch) ||
-      !reader.Read(&flags) || !reader.Read(&tensor_count)) {
+  if (!reader->Read(&version) || !reader->Read(&header->epoch) ||
+      !reader->Read(&header->flags) || !reader->Read(&header->tensor_count)) {
     return Corrupt(path, "truncated header");
   }
-  if (version != kVersion) {
+  if (version != (header->v3 ? kVersionV3 : kVersionV2)) {
     return Status::IoError(path + " has unsupported checkpoint version " +
                            std::to_string(version));
   }
-  if (tensor_count < 0 || ckpt.epoch < 0) {
+  if ((header->flags & ~kKnownFlags) != 0) {
+    return Corrupt(path, "unknown flags " + std::to_string(header->flags));
+  }
+  if (header->tensor_count < 0 || header->epoch < 0) {
     return Corrupt(path, "negative header field");
   }
-  bool crc_ok = true;
-  for (int64_t t = 0; t < tensor_count; ++t) {
-    int64_t rows = 0;
-    int64_t cols = 0;
-    if (!reader.Read(&rows) || !reader.Read(&cols)) {
-      return Corrupt(path, "truncated tensor header");
-    }
-    if (rows < 0 || cols < 0 ||
-        (cols > 0 &&
-         rows > static_cast<int64_t>(reader.remaining() / sizeof(float)) /
-                    cols)) {
-      return Corrupt(path, "implausible tensor shape " +
-                               std::to_string(rows) + "x" +
-                               std::to_string(cols));
-    }
-    std::vector<float> data;
-    if (!reader.ReadFloats(static_cast<size_t>(rows * cols), &data,
-                           &crc_ok)) {
-      return Corrupt(path, "truncated tensor payload");
-    }
-    if (!crc_ok) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " checksum mismatch");
-    }
-    ckpt.tensors.push_back(
-        tensor::Tensor::FromData(rows, cols, std::move(data)));
+  return Status::Ok();
+}
+
+/// Reads record `t`'s dtype (v3 only; v2 records are fp32) and shape, and
+/// checks that its payload can fit in what is left of the body.
+Status ReadRecordHeader(const std::string& path, bool v3, size_t t,
+                        ByteReader& reader, QuantTensor* q) {
+  uint8_t dtype_tag = 0;
+  if ((v3 && !reader.Read(&dtype_tag)) || !reader.Read(&q->rows) ||
+      !reader.Read(&q->cols)) {
+    return Corrupt(path, "truncated tensor header");
   }
-  if (flags & kHasOptimizer) {
+  if (dtype_tag > static_cast<uint8_t>(TensorDtype::kBf16)) {
+    return Corrupt(path, TensorName(t) + " has unknown dtype id " +
+                             std::to_string(dtype_tag));
+  }
+  q->dtype = static_cast<TensorDtype>(dtype_tag);
+  const size_t elem_bytes = DtypeBytes(q->dtype);
+  if (q->rows < 0 || q->cols < 0 ||
+      (q->cols > 0 &&
+       q->rows > static_cast<int64_t>(reader.remaining() / elem_bytes) /
+                     q->cols)) {
+    return Corrupt(path, "implausible tensor shape " +
+                             std::to_string(q->rows) + "x" +
+                             std::to_string(q->cols));
+  }
+  return Status::Ok();
+}
+
+/// Reads record `t`'s payload for its dtype and checks each array's CRC.
+Status ReadRecordPayload(const std::string& path, size_t t,
+                         ByteReader& reader, QuantTensor* q) {
+  const size_t elems = static_cast<size_t>(q->rows * q->cols);
+  bool crc_ok = true;
+  bool read = false;
+  switch (q->dtype) {
+    case TensorDtype::kFloat32:
+      read = reader.ReadArray(elems, &q->f32, &crc_ok);
+      break;
+    case TensorDtype::kInt8: {
+      int64_t scale_count = 0;
+      if (!reader.Read(&scale_count)) {
+        return Corrupt(path, "truncated scale count");
+      }
+      if (scale_count != q->rows) {
+        return Corrupt(path, TensorName(t) + " scale count " +
+                                 std::to_string(scale_count) +
+                                 " does not match rows " +
+                                 std::to_string(q->rows));
+      }
+      if (!reader.ReadArray(static_cast<size_t>(scale_count), &q->scales,
+                            &crc_ok)) {
+        return Corrupt(path, "truncated scale payload");
+      }
+      if (!crc_ok) {
+        return Corrupt(path, TensorName(t) + " scale checksum mismatch");
+      }
+      read = reader.ReadArray(elems, &q->codes, &crc_ok);
+      break;
+    }
+    case TensorDtype::kBf16:
+      read = reader.ReadArray(elems, &q->bf16, &crc_ok);
+      break;
+  }
+  if (!read) return Corrupt(path, "truncated tensor payload");
+  if (!crc_ok) return Corrupt(path, TensorName(t) + " checksum mismatch");
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
+                      const std::string& path) {
+  size_t payload_bytes = ckpt.rng_state.size();
+  bool quantized = false;
+  for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
+    DESALIGN_RETURN_NOT_OK(CheckPayloadSize(ckpt.tensors[i], i));
+    quantized |= ckpt.tensors[i].dtype != TensorDtype::kFloat32;
+    payload_bytes += QuantTensorBytes(ckpt.tensors[i]);
+  }
+  if (quantized &&
+      (ckpt.has_optimizer || ckpt.has_rng || ckpt.has_train_state)) {
+    return Status::InvalidArgument(
+        "quantized checkpoints are params-only snapshots; optimizer / rng / "
+        "train state cannot be attached");
+  }
+  if (ckpt.has_optimizer) {
+    if (ckpt.opt_m.size() != ckpt.tensors.size() ||
+        ckpt.opt_v.size() != ckpt.tensors.size()) {
+      return Status::InvalidArgument(
+          "optimizer moment count does not match tensor count");
+    }
+    for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
+      if (ckpt.opt_m[i].size() != ckpt.tensors[i].f32.size() ||
+          ckpt.opt_v[i].size() != ckpt.tensors[i].f32.size()) {
+        return Status::InvalidArgument(
+            "optimizer moment size does not match " + TensorName(i));
+      }
+      payload_bytes += 2 * ckpt.opt_m[i].size() * sizeof(float);
+    }
+  }
+
+  // The file is built in one buffer (payloads plus a generous allowance
+  // for headers and CRCs); the footer CRC covers everything between the
+  // magic and the footer.
+  std::string file;
+  file.reserve(kMagicLen + payload_bytes + 64 * (ckpt.tensors.size() + 1) +
+               kEndMarkerLen);
+  file.append(kMagicV3, kMagicLen);
+  Append<uint32_t>(&file, kVersionV3);
+  Append<int64_t>(&file, ckpt.epoch);
+  const uint32_t flags = (ckpt.has_optimizer ? kHasOptimizer : 0) |
+                         (ckpt.has_rng ? kHasRng : 0) |
+                         (ckpt.has_train_state ? kHasTrain : 0);
+  Append<uint32_t>(&file, flags);
+  Append<int64_t>(&file, static_cast<int64_t>(ckpt.tensors.size()));
+  for (const QuantTensor& q : ckpt.tensors) {
+    Append<uint8_t>(&file, static_cast<uint8_t>(q.dtype));
+    Append<int64_t>(&file, q.rows);
+    Append<int64_t>(&file, q.cols);
+    switch (q.dtype) {
+      case TensorDtype::kFloat32:
+        AppendArray(&file, q.f32);
+        break;
+      case TensorDtype::kInt8:
+        Append<int64_t>(&file, static_cast<int64_t>(q.scales.size()));
+        AppendArray(&file, q.scales);
+        AppendArray(&file, q.codes);
+        break;
+      case TensorDtype::kBf16:
+        AppendArray(&file, q.bf16);
+        break;
+    }
+  }
+  if (ckpt.has_optimizer) {
+    Append<int64_t>(&file, ckpt.opt_step);
+    for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
+      AppendArray(&file, ckpt.opt_m[i]);
+      AppendArray(&file, ckpt.opt_v[i]);
+    }
+  }
+  if (ckpt.has_rng) {
+    Append<int64_t>(&file, static_cast<int64_t>(ckpt.rng_state.size()));
+    file.append(ckpt.rng_state);
+    Append<uint32_t>(&file,
+                     Crc32(ckpt.rng_state.data(), ckpt.rng_state.size()));
+  }
+  if (ckpt.has_train_state) {
+    Append<float>(&file, ckpt.best_loss);
+    Append<int32_t>(&file, ckpt.stall);
+    Append<float>(&file, ckpt.lr_scale);
+  }
+  Append<uint32_t>(&file,
+                   Crc32(file.data() + kMagicLen, file.size() - kMagicLen));
+  file.append(kEndMarker, kEndMarkerLen);
+  return common::AtomicWriteFile(path, file, "ckpt.write");
+}
+
+Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
+  std::string bytes;
+  DESALIGN_RETURN_NOT_OK(
+      common::ReadFileToString(path, &bytes, "ckpt.read"));
+  Header header;
+  ByteReader reader{std::string_view()};
+  DESALIGN_RETURN_NOT_OK(OpenBody(path, bytes, &header, &reader));
+
+  TrainingCheckpoint ckpt;
+  ckpt.epoch = header.epoch;
+  bool quantized = false;
+  const auto tensor_count = static_cast<size_t>(header.tensor_count);
+  for (size_t t = 0; t < tensor_count; ++t) {
+    QuantTensor q;
+    DESALIGN_RETURN_NOT_OK(ReadRecordHeader(path, header.v3, t, reader, &q));
+    DESALIGN_RETURN_NOT_OK(ReadRecordPayload(path, t, reader, &q));
+    quantized |= q.dtype != TensorDtype::kFloat32;
+    ckpt.tensors.push_back(std::move(q));
+  }
+  if (quantized && header.flags != 0) {
+    return Corrupt(path, "nonzero flags " + std::to_string(header.flags) +
+                             " alongside a quantized record");
+  }
+  bool crc_ok = true;
+  if (header.flags & kHasOptimizer) {
     ckpt.has_optimizer = true;
     if (!reader.Read(&ckpt.opt_step)) {
       return Corrupt(path, "truncated optimizer step");
     }
-    for (int64_t t = 0; t < tensor_count; ++t) {
-      const size_t n = ckpt.tensors[static_cast<size_t>(t)]->data().size();
+    for (size_t t = 0; t < tensor_count; ++t) {
+      const size_t n = ckpt.tensors[t].f32.size();
       std::vector<float> m;
       std::vector<float> v;
-      if (!reader.ReadFloats(n, &m, &crc_ok) || !crc_ok) {
-        return Corrupt(path, "bad optimizer m for tensor " +
-                                 std::to_string(t));
+      if (!reader.ReadArray(n, &m, &crc_ok) || !crc_ok) {
+        return Corrupt(path, "bad optimizer m for " + TensorName(t));
       }
-      if (!reader.ReadFloats(n, &v, &crc_ok) || !crc_ok) {
-        return Corrupt(path, "bad optimizer v for tensor " +
-                                 std::to_string(t));
+      if (!reader.ReadArray(n, &v, &crc_ok) || !crc_ok) {
+        return Corrupt(path, "bad optimizer v for " + TensorName(t));
       }
       ckpt.opt_m.push_back(std::move(m));
       ckpt.opt_v.push_back(std::move(v));
     }
   }
-  if (flags & kHasRng) {
+  if (header.flags & kHasRng) {
     ckpt.has_rng = true;
     int64_t len = 0;
     if (!reader.Read(&len) || len < 0 ||
@@ -476,7 +411,7 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
       return Corrupt(path, "rng state checksum mismatch");
     }
   }
-  if (flags & kHasTrain) {
+  if (header.flags & kHasTrain) {
     ckpt.has_train_state = true;
     if (!reader.Read(&ckpt.best_loss) || !reader.Read(&ckpt.stall) ||
         !reader.Read(&ckpt.lr_scale)) {
@@ -488,6 +423,66 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
                              " unexpected trailing bytes");
   }
   return ckpt;
+}
+
+Result<FirstRecord> LocateFirstRecord(const std::string& path) {
+  std::string bytes;
+  DESALIGN_RETURN_NOT_OK(
+      common::ReadFileToString(path, &bytes, "ckpt.read"));
+  Header header;
+  ByteReader reader{std::string_view()};
+  DESALIGN_RETURN_NOT_OK(OpenBody(path, bytes, &header, &reader));
+  if (header.tensor_count < 1) {
+    return Status::IoError("checkpoint " + path + " holds no tensors");
+  }
+  QuantTensor q;
+  DESALIGN_RETURN_NOT_OK(ReadRecordHeader(path, header.v3, 0, reader, &q));
+  FirstRecord first;
+  first.dtype = q.dtype;
+  first.rows = q.rows;
+  first.cols = q.cols;
+  first.payload_offset = static_cast<int64_t>(kMagicLen + reader.pos());
+  return first;
+}
+
+std::vector<QuantTensor> ParameterRecords(
+    const std::vector<tensor::TensorPtr>& params) {
+  std::vector<QuantTensor> records(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    records[i].rows = params[i]->rows();
+    records[i].cols = params[i]->cols();
+    records[i].f32 = params[i]->data();
+  }
+  return records;
+}
+
+Status RestoreParameters(const std::vector<QuantTensor>& records,
+                         const std::vector<tensor::TensorPtr>& params) {
+  if (records.size() != params.size()) {
+    return Status::InvalidArgument(
+        "checkpoint holds " + std::to_string(records.size()) +
+        " tensors, model has " + std::to_string(params.size()));
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    const QuantTensor& q = records[i];
+    DESALIGN_RETURN_NOT_OK(CheckPayloadSize(q, i));
+    if (q.dtype != TensorDtype::kFloat32) {
+      return Status::InvalidArgument(
+          "checkpoint " + TensorName(i) + " is " +
+          DtypeName(q.dtype) + "; model parameters are fp32");
+    }
+    if (q.rows != params[i]->rows() || q.cols != params[i]->cols()) {
+      return Status::InvalidArgument(
+          "checkpoint " + TensorName(i) + " shape " +
+          std::to_string(q.rows) + "x" + std::to_string(q.cols) +
+          " does not match model " + std::to_string(params[i]->rows()) +
+          "x" + std::to_string(params[i]->cols()));
+    }
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->data() = records[i].f32;
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

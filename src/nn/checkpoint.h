@@ -14,19 +14,17 @@ namespace desalign::nn {
 /// Everything a training run needs to continue bit-exactly: model params,
 /// AdamW moments + step, the RNG engine, the epoch counter, and the loop's
 /// scalar state (early-stop bookkeeping and the non-finite LR backoff).
-/// The params-only subset (`tensors` with every `has_*` flag false) is the
-/// shape serve-side embedding snapshots use.
+/// The params-only subset (every `has_*` flag false) is the shape
+/// serve-side embedding snapshots use.
 ///
-/// `quant_tensors` is the v3 dtype-tagged path: when non-empty the
-/// checkpoint is a params-only quantized snapshot (no optimizer / RNG /
-/// train state — fp32 moments for int8 params make no sense) and
-/// SaveCheckpoint writes the v3 format. Loading a v3 file fills
-/// `quant_tensors` with the stored payloads AND `tensors` with their
-/// dequantized fp32 views, so every legacy fp32 consumer keeps working.
+/// `tensors` holds one dtype-tagged record per tensor, each payload once.
+/// Training checkpoints hold fp32 records (ParameterRecords below);
+/// embedding snapshots may hold int8 or bf16 records, and then carry no
+/// optimizer / RNG / train state (fp32 moments for int8 params make no
+/// sense).
 struct TrainingCheckpoint {
   int64_t epoch = 0;  ///< last completed epoch (0-based)
-  std::vector<tensor::TensorPtr> tensors;
-  std::vector<QuantTensor> quant_tensors;  ///< non-empty => v3 on save
+  std::vector<QuantTensor> tensors;
 
   bool has_optimizer = false;
   int64_t opt_step = 0;
@@ -42,35 +40,58 @@ struct TrainingCheckpoint {
   float lr_scale = 1.0f;   ///< non-finite-guard LR backoff factor
 };
 
-/// Writes `ckpt` to `path` in the versioned v2 format: magic, header,
-/// per-tensor payloads each followed by a CRC32, optional optimizer / RNG /
-/// train-state sections, a footer CRC32 over everything after the magic,
-/// and a trailing end marker. The file is published atomically (tmp +
-/// fsync + rename via common::AtomicWriteFile, fault site "ckpt.write"),
-/// so a crash mid-save never clobbers an existing checkpoint.
-///
-/// When `quant_tensors` is non-empty the v3 format is written instead:
-/// same envelope, but each tensor record is `u8 dtype | i64 rows |
-/// i64 cols | dtype-specific payload` (int8 adds an explicit scale count
-/// plus a separately checksummed scale array). v3 files are params-only:
-/// `tensors` must be empty and every `has_*` flag false, or the save is
-/// rejected. See docs/ROBUSTNESS.md for both byte layouts.
+/// Writes `ckpt` to `path` in the v3 format: magic, header, one
+/// dtype-tagged record per tensor (`u8 dtype | i64 rows | i64 cols |
+/// payload`, each payload array followed by its CRC32), the optional
+/// optimizer / RNG / train-state sections, a footer CRC32 over everything
+/// after the magic, and a trailing end marker. The file is published
+/// atomically (tmp + fsync + rename via common::AtomicWriteFile, fault
+/// site "ckpt.write"), so a crash mid-save never clobbers an existing
+/// checkpoint. Payload sizes are checked against each record's shape, and
+/// optimizer / RNG / train state is rejected when any record is
+/// quantized, before anything touches disk. docs/ROBUSTNESS.md has the
+/// byte layout.
 common::Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
                               const std::string& path);
 
-/// Loads and fully validates a v2 or v3 checkpoint: head/tail magic,
-/// footer CRC, bounds-checked section parsing, per-payload CRCs (v3 also
-/// checks dtype ids and the int8 scale count against the record shape).
-/// Any corruption — truncation, torn write, bit flip — yields a clean
-/// error Status; corrupt data is never returned. Also accepts legacy
-/// SaveParameters (v1) files, which load as params-only checkpoints (no
-/// integrity check beyond shape plausibility — v1 predates checksums).
-/// Fault site "ckpt.read".
+/// Loads and fully validates a v3 checkpoint, or a v2 one (the pre-v3
+/// layout, whose records have no dtype byte and are all fp32): head/tail
+/// magic, footer CRC, bounds-checked section parsing, per-payload CRCs,
+/// dtype ids and the int8 scale count against the record shape. Any
+/// corruption — truncation, torn write, bit flip — yields a clean error
+/// Status; corrupt data is never returned. Any other file, the
+/// pre-checksum v1 parameter format included, is an IoError. Fault site
+/// "ckpt.read".
 common::Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path);
 
-/// True when `path` starts with the v2 or v3 checkpoint magic. Missing or
-/// short files report false.
-bool IsVersionedCheckpoint(const std::string& path);
+/// fp32 records holding copies of `params`, in order: the tensors of a
+/// model checkpoint.
+std::vector<QuantTensor> ParameterRecords(
+    const std::vector<tensor::TensorPtr>& params);
+
+/// Copies the fp32 `records` into `params`, in order. The count, and every
+/// record's dtype and shape, are checked before any parameter is touched,
+/// so a mismatch returns InvalidArgument and leaves the model as it was.
+common::Status RestoreParameters(const std::vector<QuantTensor>& records,
+                                 const std::vector<tensor::TensorPtr>& params);
+
+/// Where tensor 0 of a checkpoint file sits: its dtype, shape, and the
+/// file offset of its payload (for fp32, rows * cols floats in row-major
+/// order).
+struct FirstRecord {
+  TensorDtype dtype = TensorDtype::kFloat32;
+  int64_t rows = 0;
+  int64_t cols = 0;
+  int64_t payload_offset = 0;
+};
+
+/// Validates the envelope of the checkpoint at `path` (magic, version,
+/// end marker, footer CRC over the whole body) and locates tensor 0
+/// without copying any payload: the entry point for readers that fetch
+/// rows on demand. The record header is bounds-checked, so the payload
+/// lies inside the file. IoError on a missing, foreign or corrupt file or
+/// one with no tensors. Fault site "ckpt.read".
+common::Result<FirstRecord> LocateFirstRecord(const std::string& path);
 
 /// Rotating last-K checkpoint directory with a manifest. Files are named
 /// `ckpt_<epoch>.dckpt`; `MANIFEST` lists them oldest-first and is itself

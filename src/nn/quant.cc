@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/check.h"
 
 namespace desalign::nn {
 
@@ -150,30 +149,6 @@ common::Result<QuantTensor> QuantizeTensor(const tensor::Tensor& t,
       break;
   }
   return q;
-}
-
-tensor::TensorPtr DequantizeTensor(const QuantTensor& q) {
-  std::vector<float> data(static_cast<size_t>(q.rows * q.cols));
-  switch (q.dtype) {
-    case TensorDtype::kFloat32:
-      DESALIGN_CHECK_EQ(q.f32.size(), data.size());
-      data = q.f32;
-      break;
-    case TensorDtype::kInt8:
-      DESALIGN_CHECK_EQ(q.codes.size(), data.size());
-      DESALIGN_CHECK_EQ(static_cast<int64_t>(q.scales.size()), q.rows);
-      for (int64_t r = 0; r < q.rows; ++r) {
-        quant::DequantizeRow(q.codes.data() + r * q.cols, q.cols,
-                             q.scales[static_cast<size_t>(r)],
-                             data.data() + r * q.cols);
-      }
-      break;
-    case TensorDtype::kBf16:
-      DESALIGN_CHECK_EQ(q.bf16.size(), data.size());
-      quant::Bf16DecodeRow(q.bf16.data(), q.rows * q.cols, data.data());
-      break;
-  }
-  return tensor::Tensor::FromData(q.rows, q.cols, std::move(data));
 }
 
 }  // namespace desalign::nn

@@ -91,11 +91,6 @@ size_t QuantTensorBytes(const QuantTensor& q);
 common::Result<QuantTensor> QuantizeTensor(const tensor::Tensor& t,
                                            TensorDtype dtype);
 
-/// Reconstructs the fp32 view of `q` (exact for kFloat32/kBf16 values,
-/// scale * code for kInt8) — the read-compat path that lets every legacy
-/// fp32 consumer load a v3 quantized checkpoint.
-tensor::TensorPtr DequantizeTensor(const QuantTensor& q);
-
 }  // namespace desalign::nn
 
 #endif  // DESALIGN_NN_QUANT_H_

@@ -1,6 +1,7 @@
 #include "serve/batch_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -67,8 +68,12 @@ std::future<TopKResult> BatchQueue::SubmitWithDeadline(
 
   // Typed admission control: every early-out resolves the future with a
   // definite status instead of aborting or handing back an ambiguous
-  // empty result.
-  if (static_cast<int64_t>(req.query.size()) != retriever_->dim()) {
+  // empty result. A non-finite coordinate would normalize the whole query
+  // to NaN, which has no ranking (the Retriever contract requires finite
+  // queries).
+  if (static_cast<int64_t>(req.query.size()) != retriever_->dim() ||
+      !std::all_of(req.query.begin(), req.query.end(),
+                   [](float v) { return std::isfinite(v); })) {
     Reject(std::move(req), ServeStatus::kInvalidQuery);
     return future;
   }

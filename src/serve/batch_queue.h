@@ -77,7 +77,8 @@ class BatchQueue {
   /// Enqueues one query under the default deadline (`options.deadline_ms`).
   /// The future always resolves: with the scored top-k (kOk, possibly
   /// degraded), or immediately with the typed rejection — kInvalidQuery
-  /// (size != retriever dim), kShutdown (after Shutdown),
+  /// (size != retriever dim, or a NaN / +-Inf coordinate), kShutdown
+  /// (after Shutdown),
   /// kRejectedQueueFull (queue at max_pending, or the governor is
   /// shedding), kDeadlineExceeded (deadline expired).
   [[nodiscard]] std::future<TopKResult> Submit(std::vector<float> query);

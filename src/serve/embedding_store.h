@@ -107,7 +107,7 @@ class EmbeddingSnapshot {
 ///
 /// A store is either built in-memory from a tensor produced by a fitted
 /// model (`align::FusionAlignModel::FusedEmbeddings`) or restored from an
-/// `nn::serialize` checkpoint file, which is how a trained model's
+/// `nn/checkpoint.h` checkpoint file, which is how a trained model's
 /// embeddings reach a serving process that never sees the training data.
 ///
 /// Concurrency: the store holds its table behind a mutex-guarded
@@ -129,18 +129,16 @@ class EmbeddingStore {
   static EmbeddingStore FromRows(int64_t rows, int64_t cols,
                                  std::vector<float> data);
 
-  /// Writes the table as a single-tensor checkpoint: v2 for fp32 tables,
-  /// v3 (dtype-tagged) for quantized ones. Either way the file is
-  /// checksummed and atomically published, and loadable with `Load` below
-  /// (and, for any dtype, with `nn::LoadAllParameters`, which sees the
-  /// dequantized fp32 view).
+  /// Writes the table as a single-record checkpoint, tagged with the
+  /// table's dtype (nn::SaveCheckpoint): checksummed, atomically
+  /// published, and loadable with `Load` below.
   common::Status Save(const std::string& path) const;
 
-  /// Restores a store from checkpoint tensor `tensor_index` of `path`.
-  /// Returns a clean Status (never crashes) on missing, corrupt or
-  /// truncated files. fp32 tensors (v1/v2, or fp32 records in v3) are
+  /// Restores a store from checkpoint tensor `tensor_index` of `path` (a
+  /// file nn::LoadCheckpoint reads). Returns a clean Status (never
+  /// crashes) on missing, corrupt or truncated files. fp32 records are
   /// re-normalized defensively so a store is valid even when the
-  /// checkpoint holds raw embeddings; quantized v3 records are adopted
+  /// checkpoint holds raw embeddings; int8 and bf16 records are adopted
   /// verbatim — codes and scales round-trip bit-exactly, and
   /// re-normalizing their dequantized view would silently perturb scores.
   static common::Result<EmbeddingStore> Load(const std::string& path,
@@ -163,7 +161,7 @@ class EmbeddingStore {
   EmbeddingStore& operator=(const EmbeddingStore& other);
 
   /// Degradation-safe snapshot swap: loads and fully validates the
-  /// checkpoint at `path` (checksums included for v2 files) into a fresh
+  /// checkpoint at `path` (checksums included) into a fresh
   /// table and only then publishes it as the current table; concurrent
   /// queries holding a Snapshot keep scanning the old table, which stays
   /// alive until the last snapshot drops. On any failure — missing file,

@@ -17,7 +17,8 @@ enum class ServeStatus : uint8_t {
                            ///< at the shed watermark while the governor is
                            ///< in kShedding
   kDeadlineExceeded = 2,   ///< request deadline expired before scoring
-  kInvalidQuery = 3,       ///< malformed query (wrong dimension)
+  kInvalidQuery = 3,       ///< malformed query (wrong dimension or a
+                           ///< non-finite coordinate)
   kShutdown = 4,           ///< submitted after Shutdown
 };
 
@@ -57,6 +58,10 @@ struct TopKResult {
 /// Contract every implementation must honour (and tests enforce):
 ///  - `queries` is num_queries x dim() row-major; queries are L2-normalized
 ///    internally, scores are cosine similarities;
+///  - every query coordinate is finite: one NaN or +-Inf normalizes the
+///    whole query to NaN, its scores have no order, and its answer would
+///    depend on the order rows are offered. BatchQueue rejects such a
+///    query as kInvalidQuery; direct callers must not pass one;
 ///  - the result vector always has exactly num_queries entries, in query
 ///    order (num_queries <= 0 yields an empty vector);
 ///  - k is clamped to size(); k <= 0 yields empty per-query results;

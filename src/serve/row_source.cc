@@ -4,31 +4,11 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
 #include <utility>
-#include <vector>
 
-#include "common/crc32.h"
+#include "nn/checkpoint.h"
 
 namespace desalign::serve {
-
-namespace {
-
-constexpr char kMagicV2[] = "DESALIGNCKPT2\n";
-constexpr char kMagicV3[] = "DESALIGNCKPT3\n";
-constexpr int64_t kMagicLen = 14;
-constexpr char kEndMarker[] = "DCKPTEND";
-constexpr int64_t kEndMarkerLen = 8;
-constexpr int64_t kFooterLen = 4 + kEndMarkerLen;  // crc32 + end marker
-
-template <typename T>
-T ReadLe(const char* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-}  // namespace
 
 bool SnapshotRowSource::Row(int64_t i, float* out) const {
   if (i < 0 || i >= snapshot_.size()) return false;
@@ -40,75 +20,24 @@ bool SnapshotRowSource::Row(int64_t i, float* out) const {
 
 common::Result<CheckpointRowSource> CheckpointRowSource::Open(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return common::Status::IoError("cannot open checkpoint " + path);
+  DESALIGN_ASSIGN_OR_RETURN(const nn::FirstRecord first,
+                            nn::LocateFirstRecord(path));
+  if (first.dtype != nn::TensorDtype::kFloat32) {
+    return common::Status::InvalidArgument(
+        "checkpoint " + path +
+        " tensor 0 is not fp32; quantized records hold no full-precision "
+        "rows");
   }
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return common::Status::IoError("read failed for checkpoint " + path);
-  }
-  const int64_t size = static_cast<int64_t>(bytes.size());
-  // Header through tensor-0 dims: magic + version/epoch/flags/count (24B)
-  // + the record header, v3's being the larger (1 + 8 + 8).
-  if (size < kMagicLen + 24 + 17 + kFooterLen) {
+  if (first.rows <= 0 || first.cols <= 0) {
     return common::Status::IoError("checkpoint " + path +
-                                   " is too short to hold a tensor");
-  }
-  const bool v3 = std::memcmp(bytes.data(), kMagicV3, kMagicLen) == 0;
-  if (!v3 && std::memcmp(bytes.data(), kMagicV2, kMagicLen) != 0) {
-    return common::Status::IoError("checkpoint " + path +
-                                   " has an unknown magic");
-  }
-  if (std::memcmp(bytes.data() + size - kEndMarkerLen, kEndMarker,
-                  kEndMarkerLen) != 0) {
-    return common::Status::IoError("checkpoint " + path +
-                                   " is truncated (missing end marker)");
-  }
-  const uint32_t stored_crc = ReadLe<uint32_t>(bytes.data() + size -
-                                               kFooterLen);
-  const uint32_t computed_crc = common::Crc32(
-      bytes.data() + kMagicLen, static_cast<size_t>(size - kMagicLen -
-                                                    kFooterLen));
-  if (stored_crc != computed_crc) {
-    return common::Status::IoError("checkpoint " + path +
-                                   " footer checksum mismatch");
-  }
-  const int64_t tensor_count = ReadLe<int64_t>(bytes.data() + kMagicLen + 16);
-  if (tensor_count < 1) {
-    return common::Status::IoError("checkpoint " + path + " holds no tensors");
-  }
-  int64_t offset = kMagicLen + 24;
-  if (v3) {
-    const uint8_t dtype = static_cast<uint8_t>(bytes[offset]);
-    if (dtype != 0) {
-      return common::Status::InvalidArgument(
-          "checkpoint " + path +
-          " tensor 0 is not fp32; quantized records hold no full-precision "
-          "rows");
-    }
-    offset += 1;
-  }
-  const int64_t rows = ReadLe<int64_t>(bytes.data() + offset);
-  const int64_t cols = ReadLe<int64_t>(bytes.data() + offset + 8);
-  offset += 16;
-  if (rows <= 0 || cols <= 0 || rows > (int64_t{1} << 40) ||
-      cols > (int64_t{1} << 30)) {
-    return common::Status::IoError("checkpoint " + path +
-                                   " tensor 0 has implausible shape");
-  }
-  const int64_t payload_bytes = rows * cols * static_cast<int64_t>(
-                                                 sizeof(float));
-  if (offset + payload_bytes + 4 > size - kFooterLen) {
-    return common::Status::IoError("checkpoint " + path +
-                                   " tensor 0 payload exceeds the file");
+                                   " tensor 0 is empty");
   }
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return common::Status::IoError("cannot reopen checkpoint " + path);
   }
-  return CheckpointRowSource(fd, rows, cols, offset);
+  return CheckpointRowSource(fd, first.rows, first.cols,
+                             first.payload_offset);
 }
 
 CheckpointRowSource::CheckpointRowSource(CheckpointRowSource&& other) noexcept

@@ -49,12 +49,12 @@ class SnapshotRowSource : public RowSource {
 };
 
 /// A RowSource that reads fp32 rows on demand (pread, no seek state) from
-/// tensor 0 of a v2 checkpoint or an fp32 record of a v3 checkpoint on
-/// disk. Open() reads the file once to verify the envelope — magic,
-/// version, end marker, footer CRC32 over the whole body — and to locate
-/// the tensor-0 payload; after that only the requested rows are read, so
-/// the resident cost of full-precision re-ranking is the page cache
-/// working set of the re-ranked candidates, not the fp32 table.
+/// tensor 0 of a checkpoint on disk, when that record is fp32. Open()
+/// asks nn::LocateFirstRecord to verify the envelope — magic, version,
+/// end marker, footer CRC32 over the whole body — and to locate the
+/// tensor-0 payload; after that only the requested rows are read, so the
+/// resident cost of full-precision re-ranking is the page cache working
+/// set of the re-ranked candidates, not the fp32 table.
 ///
 /// Row() trusts the kernel for reads after the open-time validation; a
 /// file replaced in place (rather than atomically, as the checkpoint
@@ -64,8 +64,8 @@ class CheckpointRowSource : public RowSource {
  public:
   /// Validates `path` and returns a ready source. Fails with a clean
   /// Status on a missing file, a non-checkpoint file, a corrupt envelope,
-  /// or a v3 tensor 0 that is not fp32 (quantized records hold no
-  /// full-precision rows to refine with).
+  /// an empty tensor 0, or a tensor 0 that is not fp32 (quantized records
+  /// hold no full-precision rows to refine with).
   static common::Result<CheckpointRowSource> Open(const std::string& path);
 
   /// Empty source (0 x 0, every Row fails); exists so the class fits

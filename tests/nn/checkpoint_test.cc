@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -9,8 +10,8 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
-#include "nn/serialize.h"
 #include "tensor/init.h"
+#include "testing/v2_fixture.h"
 
 namespace desalign::nn {
 namespace {
@@ -50,13 +51,13 @@ std::vector<TensorPtr> MakeParams(uint64_t seed) {
 TrainingCheckpoint MakeFullCheckpoint(uint64_t seed) {
   TrainingCheckpoint ckpt;
   ckpt.epoch = 17;
-  ckpt.tensors = MakeParams(seed);
+  ckpt.tensors = ParameterRecords(MakeParams(seed));
   ckpt.has_optimizer = true;
   ckpt.opt_step = 123;
   common::Rng rng(seed + 1);
   for (const auto& t : ckpt.tensors) {
-    std::vector<float> m(t->data().size());
-    std::vector<float> v(t->data().size());
+    std::vector<float> m(t.f32.size());
+    std::vector<float> v(t.f32.size());
     for (auto& x : m) x = rng.UniformF(-1.0f, 1.0f);
     for (auto& x : v) x = rng.UniformF(0.0f, 1.0f);
     ckpt.opt_m.push_back(std::move(m));
@@ -73,49 +74,39 @@ TrainingCheckpoint MakeFullCheckpoint(uint64_t seed) {
   return ckpt;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST_F(CheckpointTest, FullRoundTripIsExact) {
   const auto saved = MakeFullCheckpoint(5);
   ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  EXPECT_TRUE(IsVersionedCheckpoint(path_));
+  // Training state rides in the one written format, v3.
+  EXPECT_EQ(ReadFile(path_).substr(0, 14), "DESALIGNCKPT3\n");
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto& got = loaded.value();
-  EXPECT_EQ(got.epoch, saved.epoch);
-  ASSERT_EQ(got.tensors.size(), saved.tensors.size());
-  for (size_t i = 0; i < saved.tensors.size(); ++i) {
-    EXPECT_EQ(got.tensors[i]->rows(), saved.tensors[i]->rows());
-    EXPECT_EQ(got.tensors[i]->cols(), saved.tensors[i]->cols());
-    EXPECT_EQ(got.tensors[i]->data(), saved.tensors[i]->data());
-  }
-  ASSERT_TRUE(got.has_optimizer);
-  EXPECT_EQ(got.opt_step, saved.opt_step);
-  EXPECT_EQ(got.opt_m, saved.opt_m);
-  EXPECT_EQ(got.opt_v, saved.opt_v);
-  ASSERT_TRUE(got.has_rng);
-  EXPECT_EQ(got.rng_state, saved.rng_state);
-  ASSERT_TRUE(got.has_train_state);
-  EXPECT_EQ(got.best_loss, saved.best_loss);
-  EXPECT_EQ(got.stall, saved.stall);
-  EXPECT_EQ(got.lr_scale, saved.lr_scale);
+  testing::ExpectSameCheckpoint(loaded.value(), saved);
 }
 
 TEST_F(CheckpointTest, ParamsOnlyRoundTrip) {
   TrainingCheckpoint saved;
-  saved.tensors = MakeParams(6);
+  saved.tensors = ParameterRecords(MakeParams(6));
   ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded.value().has_optimizer);
   EXPECT_FALSE(loaded.value().has_rng);
   EXPECT_FALSE(loaded.value().has_train_state);
-  EXPECT_EQ(loaded.value().tensors[2]->data(), saved.tensors[2]->data());
+  EXPECT_EQ(loaded.value().tensors[2].f32, saved.tensors[2].f32);
 }
 
 TEST_F(CheckpointTest, RngStateRoundTripReproducesDraws) {
   common::Rng original(99);
   for (int i = 0; i < 10; ++i) original.UniformInt(1000);
   TrainingCheckpoint ckpt;
-  ckpt.tensors = MakeParams(7);
+  ckpt.tensors = ParameterRecords(MakeParams(7));
   ckpt.has_rng = true;
   ckpt.rng_state = original.SerializeState();
   ASSERT_TRUE(SaveCheckpoint(ckpt, path_).ok());
@@ -131,11 +122,7 @@ TEST_F(CheckpointTest, RngStateRoundTripReproducesDraws) {
 TEST_F(CheckpointTest, EveryByteIsCoveredByChecksums) {
   ASSERT_TRUE(SaveCheckpoint(MakeFullCheckpoint(8), path_).ok());
   const auto size = std::filesystem::file_size(path_);
-  const std::string pristine = [&] {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }();
+  const std::string pristine = ReadFile(path_);
   // Flip one bit at a spread of offsets (header, payloads, CRCs, footer,
   // end marker); every single one must be rejected with a clean Status.
   for (uint64_t off = 0; off < size; off += 13) {
@@ -159,38 +146,63 @@ TEST_F(CheckpointTest, TruncationRejectedAtEveryLength) {
   }
 }
 
-TEST_F(CheckpointTest, LegacyV1FilesStillLoad) {
-  const auto params = MakeParams(10);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(path_));
+// The pre-checksum v1 parameter format ("DESALIGNPARAMS1", a tensor
+// count, then rows/cols/floats per tensor) is no longer read: no writer
+// has produced it since checkpoints gained checksums, and it carries none.
+TEST_F(CheckpointTest, V1FilesAreRejectedCleanly) {
+  std::string v1 = "DESALIGNPARAMS1";
+  const int64_t header[] = {1, 2, 2};  // one 2x2 tensor
+  v1.append(reinterpret_cast<const char*>(header), sizeof(header));
+  const float values[] = {1.0f, 2.0f, 3.0f, 4.0f};
+  v1.append(reinterpret_cast<const char*>(values), sizeof(values));
+  std::ofstream(path_, std::ios::binary) << v1;
   auto loaded = LoadCheckpoint(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().has_optimizer);
-  ASSERT_EQ(loaded.value().tensors.size(), params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_EQ(loaded.value().tensors[i]->data(), params[i]->data());
-  }
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("not a DESAlign checkpoint"),
+            std::string::npos)
+      << loaded.status().ToString();
+  auto located = LocateFirstRecord(path_);
+  ASSERT_FALSE(located.ok());
+  EXPECT_EQ(located.status().code(), common::StatusCode::kIoError);
 }
 
-TEST_F(CheckpointTest, V2FilesLoadThroughLegacyEntryPoints) {
-  TrainingCheckpoint saved = MakeFullCheckpoint(11);
-  ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  // LoadAllParameters sniffs the v2 magic and returns the tensors.
-  auto all = LoadAllParameters(path_);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all.value().size(), saved.tensors.size());
-  EXPECT_EQ(all.value()[1]->data(), saved.tensors[1]->data());
-  // LoadParameters loads in-place into matching shapes.
-  auto fresh = MakeParams(12);
-  ASSERT_TRUE(LoadParameters(fresh, path_).ok());
-  EXPECT_EQ(fresh[0]->data(), saved.tensors[0]->data());
+// v2 stays readable: every checkpoint directory and fp32 store saved
+// before v3 became the only written format is v2.
+TEST_F(CheckpointTest, V2FixtureLoadsBitExactly) {
+  auto loaded = LoadCheckpoint(testing::V2FixturePath());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  testing::ExpectSameCheckpoint(loaded.value(),
+                                testing::V2FixtureExpected());
+  // The stored RNG continues the exact stream it was saved from.
+  common::Rng restored(1);
+  ASSERT_TRUE(restored.DeserializeState(loaded.value().rng_state));
+  common::Rng expected = testing::V2FixtureRng();
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(restored.UniformInt(1 << 30), expected.UniformInt(1 << 30));
+  }
+  // Its parameters restore into a model of the same shapes.
+  std::vector<TensorPtr> params = {Tensor::Create(2, 3, true),
+                                   Tensor::Create(1, 4, true)};
+  ASSERT_TRUE(RestoreParameters(loaded.value().tensors, params).ok());
+  EXPECT_EQ(params[1]->data(), testing::V2FixtureExpected().tensors[1].f32);
+  // The row-source locator reads the v2 record layout too.
+  auto located = LocateFirstRecord(testing::V2FixturePath());
+  ASSERT_TRUE(located.ok()) << located.status().ToString();
+  EXPECT_EQ(located.value().dtype, TensorDtype::kFloat32);
+  EXPECT_EQ(located.value().rows, 2);
+  EXPECT_EQ(located.value().cols, 3);
+  const std::string bytes = ReadFile(testing::V2FixturePath());
+  std::vector<float> first(6);
+  std::memcpy(first.data(), bytes.data() + located.value().payload_offset,
+              first.size() * sizeof(float));
+  EXPECT_EQ(first, testing::V2FixtureExpected().tensors[0].f32);
 }
 
 TEST_F(CheckpointTest, MissingFileAndGarbageRejected) {
   EXPECT_FALSE(LoadCheckpoint((dir_ / "nope.dckpt").string()).ok());
   std::ofstream(path_) << "not a checkpoint at all";
   EXPECT_FALSE(LoadCheckpoint(path_).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(path_));
 }
 
 TEST_F(CheckpointTest, InjectedTornWriteIsRejectedOnLoad) {

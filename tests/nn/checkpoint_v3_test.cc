@@ -1,6 +1,6 @@
-// v3 (dtype-tagged) checkpoint format: round trips for every dtype, the
-// read-compat contract (legacy consumers see dequantized fp32), and a
-// table-driven corrupt-fixture suite. Because the whole body sits under
+// v3 (dtype-tagged) checkpoint format: round trips for every dtype, which
+// state may ride along, reading and migrating the committed v2 fixture,
+// and a table-driven corrupt-fixture suite. Because the whole body sits under
 // the footer CRC, naive bit flips are caught by the envelope before the
 // v3 parser runs; the corruption helper below re-seals the footer after
 // each mutation so the per-record guards (unknown dtype id, scale-count
@@ -23,8 +23,8 @@
 #include "common/rng.h"
 #include "nn/checkpoint.h"
 #include "nn/quant.h"
-#include "nn/serialize.h"
-#include "tensor/init.h"
+#include "tensor/tensor.h"
+#include "testing/v2_fixture.h"
 
 namespace desalign::nn {
 namespace {
@@ -71,10 +71,9 @@ QuantTensor MakeQuant(TensorDtype dtype, int64_t rows, int64_t cols,
 TrainingCheckpoint MakeV3Checkpoint(uint64_t seed) {
   TrainingCheckpoint ckpt;
   ckpt.epoch = 4;
-  ckpt.quant_tensors.push_back(MakeQuant(TensorDtype::kInt8, 6, 5, seed));
-  ckpt.quant_tensors.push_back(MakeQuant(TensorDtype::kBf16, 3, 7, seed + 1));
-  ckpt.quant_tensors.push_back(
-      MakeQuant(TensorDtype::kFloat32, 2, 9, seed + 2));
+  ckpt.tensors.push_back(MakeQuant(TensorDtype::kInt8, 6, 5, seed));
+  ckpt.tensors.push_back(MakeQuant(TensorDtype::kBf16, 3, 7, seed + 1));
+  ckpt.tensors.push_back(MakeQuant(TensorDtype::kFloat32, 2, 9, seed + 2));
   return ckpt;
 }
 
@@ -102,61 +101,52 @@ std::string MutateAndReseal(std::string bytes,
 TEST_F(CheckpointV3Test, RoundTripPreservesEveryDtypePayloadBitExactly) {
   const auto saved = MakeV3Checkpoint(3);
   ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  EXPECT_TRUE(IsVersionedCheckpoint(path_));
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto& got = loaded.value();
-  EXPECT_EQ(got.epoch, saved.epoch);
-  ASSERT_EQ(got.quant_tensors.size(), saved.quant_tensors.size());
-  for (size_t i = 0; i < saved.quant_tensors.size(); ++i) {
-    const auto& a = saved.quant_tensors[i];
-    const auto& b = got.quant_tensors[i];
-    EXPECT_EQ(a.dtype, b.dtype);
-    EXPECT_EQ(a.rows, b.rows);
-    EXPECT_EQ(a.cols, b.cols);
-    EXPECT_EQ(a.f32, b.f32);
-    EXPECT_EQ(a.codes, b.codes);
-    EXPECT_EQ(a.scales, b.scales);
-    EXPECT_EQ(a.bf16, b.bf16);
-  }
-  // The loader also fills the dequantized fp32 view, in record order.
-  ASSERT_EQ(got.tensors.size(), saved.quant_tensors.size());
-  for (size_t i = 0; i < got.tensors.size(); ++i) {
-    const auto expect = DequantizeTensor(saved.quant_tensors[i]);
-    EXPECT_EQ(got.tensors[i]->data(), expect->data()) << "tensor " << i;
-  }
-}
-
-TEST_F(CheckpointV3Test, LegacyEntryPointsSeeDequantizedFp32) {
-  const auto saved = MakeV3Checkpoint(4);
-  ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  auto all = LoadAllParameters(path_);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all.value().size(), saved.quant_tensors.size());
-  for (size_t i = 0; i < all.value().size(); ++i) {
-    EXPECT_EQ(all.value()[i]->data(),
-              DequantizeTensor(saved.quant_tensors[i])->data());
-  }
+  testing::ExpectSameCheckpoint(loaded.value(), saved);
 }
 
 TEST_F(CheckpointV3Test, SaveRejectsMixedOrStatefulV3) {
-  auto ckpt = MakeV3Checkpoint(5);
-  // fp32 tensors alongside quant records is ambiguous: refuse.
-  common::Rng rng(6);
-  ckpt.tensors.push_back(Tensor::Create(2, 2, false));
-  tensor::FillNormal(*ckpt.tensors.back(), rng);
+  // Optimizer / rng / train state rides along when every record is fp32.
+  TrainingCheckpoint fp32;
+  fp32.tensors.push_back(MakeQuant(TensorDtype::kFloat32, 2, 9, 5));
+  fp32.tensors.push_back(MakeQuant(TensorDtype::kFloat32, 4, 1, 6));
+  fp32.has_optimizer = true;
+  fp32.opt_step = 9;
+  for (const auto& t : fp32.tensors) {
+    fp32.opt_m.push_back(std::vector<float>(t.f32.size(), 0.25f));
+    fp32.opt_v.push_back(std::vector<float>(t.f32.size(), 0.5f));
+  }
+  fp32.has_rng = true;
+  fp32.rng_state = common::Rng(6).SerializeState();
+  fp32.has_train_state = true;
+  fp32.stall = 1;
+  ASSERT_TRUE(SaveCheckpoint(fp32, path_).ok());
+  auto loaded = LoadCheckpoint(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  testing::ExpectSameCheckpoint(loaded.value(), fp32);
+
+  // ...but not next to a quantized record: fp32 moments for int8 params
+  // make no sense.
+  auto ckpt = MakeV3Checkpoint(7);
+  ckpt.has_train_state = true;
   EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
             common::StatusCode::kInvalidArgument);
-  // Optimizer / rng / train state cannot ride on a v3 snapshot.
-  ckpt = MakeV3Checkpoint(7);
-  ckpt.has_train_state = true;
+  ckpt = fp32;
+  ckpt.tensors[1] = MakeQuant(TensorDtype::kBf16, 4, 1, 8);
   EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
             common::StatusCode::kInvalidArgument);
   // Payload sizes are validated before anything hits disk.
   ckpt = MakeV3Checkpoint(8);
-  ckpt.quant_tensors[0].scales.pop_back();
+  ckpt.tensors[0].scales.pop_back();
   EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
             common::StatusCode::kInvalidArgument);
+  ckpt = MakeV3Checkpoint(8);
+  ckpt.tensors[2].f32.push_back(1.0f);
+  EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
+            common::StatusCode::kInvalidArgument);
+  // The last good save is still on disk.
+  EXPECT_TRUE(LoadCheckpoint(path_).ok());
 }
 
 struct CorruptCase {
@@ -184,6 +174,18 @@ TEST_F(CheckpointV3Test, TableDrivenCorruptionsRejectedWithNamedErrors) {
                      sizeof(count));
        },
        "does not match rows"},
+      {"scale array larger than the file",
+       // rows = scale_count = 2^62 with cols = 0 passes the shape check
+       // (no codes), and 2^62 four-byte scales wrap a 64-bit byte count
+       // to 0: the reader must compare the count, not the product.
+       [](std::string& b) {
+         const int64_t rows = int64_t{1} << 62;
+         const int64_t cols = 0;
+         std::memcpy(b.data() + kFirstDtypeOffset + 1, &rows, sizeof(rows));
+         std::memcpy(b.data() + kFirstDtypeOffset + 9, &cols, sizeof(cols));
+         std::memcpy(b.data() + kFirstScaleCountOffset, &rows, sizeof(rows));
+       },
+       "truncated scale payload"},
       {"flipped scale payload byte",
        // First scale float sits right after the scale count.
        [](std::string& b) { b[kFirstScaleCountOffset + 8] ^= 0x40; },
@@ -194,9 +196,12 @@ TEST_F(CheckpointV3Test, TableDrivenCorruptionsRejectedWithNamedErrors) {
          b[kFirstScaleCountOffset + 8 + 6 * 4 + 4 + 3] ^= 0x01;
        },
        "checksum mismatch"},
-      {"nonzero flags",
+      {"nonzero flags beside a quantized record",
        [](std::string& b) { b[kMagicLen + 4 + 8] = 1; },
        "nonzero flags"},
+      {"unknown flag bit",
+       [](std::string& b) { b[kMagicLen + 4 + 8] = 8; },
+       "unknown flags"},
       {"truncated dtype tag",
        // Body cut immediately before the first record: the declared
        // tensor_count can no longer be satisfied.
@@ -262,42 +267,34 @@ TEST_F(CheckpointV3Test, InjectedTornWriteAndReadBitFlipRejected) {
   EXPECT_TRUE(LoadCheckpoint(path_).ok());   // disk copy is fine
 }
 
-TEST_F(CheckpointV3Test, V2AndLegacyFilesStillRoundTrip) {
-  // v2: a params+state checkpoint written through the untouched path.
-  TrainingCheckpoint v2;
-  v2.epoch = 2;
-  common::Rng rng(14);
-  v2.tensors.push_back(Tensor::Create(3, 4, true));
-  tensor::FillNormal(*v2.tensors.back(), rng);
-  ASSERT_TRUE(SaveCheckpoint(v2, path_).ok());
-  auto loaded = LoadCheckpoint(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().quant_tensors.empty());
-  EXPECT_EQ(loaded.value().tensors[0]->data(), v2.tensors[0]->data());
+// A training directory written before v3 became the only format holds v2
+// files; the manager must resume from them, and the next write migrates
+// the directory to v3 without changing a bit of the state.
+TEST_F(CheckpointV3Test, V2FixtureResumesAndMigratesToV3) {
+  const auto ckpt_dir = dir_ / "run";
+  std::filesystem::create_directories(ckpt_dir);
+  std::filesystem::copy_file(testing::V2FixturePath(),
+                             ckpt_dir / "ckpt_00000006.dckpt");
+  CheckpointManager manager(ckpt_dir.string());
+  ASSERT_TRUE(manager.Init().ok());
+  std::string loaded_path;
+  auto resumed = manager.LoadLatestValid(&loaded_path);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(loaded_path, (ckpt_dir / "ckpt_00000006.dckpt").string());
+  const TrainingCheckpoint expected = testing::V2FixtureExpected();
+  testing::ExpectSameCheckpoint(resumed.value(), expected);
 
-  // v2 -> v3 migration: quantize the loaded fp32 tensor and re-save.
-  TrainingCheckpoint v3;
-  v3.epoch = loaded.value().epoch;
-  auto q = QuantizeTensor(*loaded.value().tensors[0], TensorDtype::kInt8);
-  ASSERT_TRUE(q.ok());
-  v3.quant_tensors.push_back(std::move(q.value()));
-  const std::string v3_path = (dir_ / "migrated.dckpt").string();
-  ASSERT_TRUE(SaveCheckpoint(v3, v3_path).ok());
-  auto migrated = LoadCheckpoint(v3_path);
-  ASSERT_TRUE(migrated.ok());
-  EXPECT_EQ(migrated.value().quant_tensors[0].codes,
-            v3.quant_tensors[0].codes);
-
-  // v1 legacy SaveParameters files load through the same entry point.
-  const std::string v1_path = (dir_ / "legacy.dckpt").string();
-  std::vector<tensor::TensorPtr> params;
-  params.push_back(Tensor::Create(2, 6, true));
-  tensor::FillNormal(*params.back(), rng);
-  ASSERT_TRUE(SaveParameters(params, v1_path).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(v1_path));
-  auto legacy = LoadCheckpoint(v1_path);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().tensors[0]->data(), params[0]->data());
+  TrainingCheckpoint next = std::move(resumed).value();
+  next.epoch = 7;
+  ASSERT_TRUE(manager.Write(next).ok());
+  const std::string written =
+      ReadFile((ckpt_dir / "ckpt_00000007.dckpt").string());
+  EXPECT_EQ(written.substr(0, 14), "DESALIGNCKPT3\n");
+  auto migrated = manager.LoadLatestValid();
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  TrainingCheckpoint want = expected;
+  want.epoch = 7;
+  testing::ExpectSameCheckpoint(migrated.value(), want);
 }
 
 }  // namespace

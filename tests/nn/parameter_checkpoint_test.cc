@@ -1,4 +1,9 @@
-#include "nn/serialize.h"
+// Model parameters to and from checkpoint files: SaveCheckpoint of
+// ParameterRecords, then LoadCheckpoint + RestoreParameters (the pair
+// FusionAlignModel::SaveCheckpoint / LoadCheckpoint and the training
+// loop's resume are built on). A load that fails for any reason — count,
+// dtype or shape mismatch, a corrupt or missing file — must leave every
+// parameter untouched.
 
 #include <unistd.h>
 
@@ -8,12 +13,13 @@
 #include <gtest/gtest.h>
 
 #include "align/fusion_model.h"
-#include "align/metrics.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "kg/synthetic.h"
 #include "nn/checkpoint.h"
+#include "nn/quant.h"
 #include "tensor/init.h"
+#include "testing/v2_fixture.h"
 
 namespace desalign::nn {
 namespace {
@@ -24,19 +30,18 @@ using tensor::TensorPtr;
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    common::FaultInjector::Global().Clear();
     path_ = (std::filesystem::temp_directory_path() /
              ("desalign_ckpt_" + std::to_string(::getpid()) + ".bin"))
                 .string();
   }
   void TearDown() override {
+    common::FaultInjector::Global().Clear();
     std::error_code ec;
     std::filesystem::remove(path_, ec);
   }
   std::string path_;
 };
-
-// Length of the on-disk magic "DESALIGNPARAMS1"; the count field follows.
-constexpr uint64_t kMagicLenForTest = 15;
 
 std::vector<TensorPtr> MakeParams(uint64_t seed) {
   common::Rng rng(seed);
@@ -49,11 +54,25 @@ std::vector<TensorPtr> MakeParams(uint64_t seed) {
   return params;
 }
 
+common::Status SaveParams(const std::vector<TensorPtr>& params,
+                          const std::string& path) {
+  TrainingCheckpoint ckpt;
+  ckpt.tensors = ParameterRecords(params);
+  return SaveCheckpoint(ckpt, path);
+}
+
+// What FusionAlignModel::LoadCheckpoint does with its parameter list.
+common::Status LoadParams(const std::vector<TensorPtr>& params,
+                          const std::string& path) {
+  DESALIGN_ASSIGN_OR_RETURN(TrainingCheckpoint ckpt, LoadCheckpoint(path));
+  return RestoreParameters(ckpt.tensors, params);
+}
+
 TEST_F(SerializeTest, RoundTripRestoresExactValues) {
   auto original = MakeParams(1);
-  ASSERT_TRUE(SaveParameters(original, path_).ok());
+  ASSERT_TRUE(SaveParams(original, path_).ok());
   auto restored = MakeParams(2);  // different values, same shapes
-  ASSERT_TRUE(LoadParameters(restored, path_).ok());
+  ASSERT_TRUE(LoadParams(restored, path_).ok());
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(restored[i]->data(), original[i]->data());
   }
@@ -62,141 +81,110 @@ TEST_F(SerializeTest, RoundTripRestoresExactValues) {
 TEST_F(SerializeTest, SaveFaultSiteSurfacesAsStatus) {
   auto params = MakeParams(3);
   ASSERT_TRUE(
-      common::FaultInjector::Global().Configure("params.write:fail").ok());
-  EXPECT_FALSE(SaveParameters(params, path_).ok());
+      common::FaultInjector::Global().Configure("ckpt.write.open:fail").ok());
+  EXPECT_FALSE(SaveParams(params, path_).ok());
+  EXPECT_FALSE(std::filesystem::exists(path_));
   common::FaultInjector::Global().Clear();
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  ASSERT_TRUE(SaveParams(params, path_).ok());
   auto restored = MakeParams(4);
-  ASSERT_TRUE(LoadParameters(restored, path_).ok());
+  ASSERT_TRUE(LoadParams(restored, path_).ok());
   EXPECT_EQ(restored[0]->data(), params[0]->data());
 }
 
 TEST_F(SerializeTest, CountMismatchFails) {
   auto params = MakeParams(3);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  ASSERT_TRUE(SaveParams(params, path_).ok());
   params.pop_back();
-  auto status = LoadParameters(params, path_);
+  auto status = LoadParams(params, path_);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST_F(SerializeTest, ShapeMismatchFailsWithoutMutation) {
   auto params = MakeParams(4);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  ASSERT_TRUE(SaveParams(params, path_).ok());
   auto wrong = MakeParams(5);
   wrong[1] = Tensor::Create(2, 7, true);
   const auto before = wrong[0]->data();
-  ASSERT_FALSE(LoadParameters(wrong, path_).ok());
+  ASSERT_FALSE(LoadParams(wrong, path_).ok());
   EXPECT_EQ(wrong[0]->data(), before);  // no partial load
 }
 
 TEST_F(SerializeTest, LastTensorShapeMismatchFailsWithoutMutation) {
-  // Regression: an eager loader that copies tensors as it parses would
-  // have already overwritten tensors 0 and 1 by the time it notices the
-  // LAST tensor's shape is wrong. All shapes must be validated before any
-  // data moves.
+  // Regression: an eager loader that copies tensors as it checks them
+  // would have already overwritten tensors 0 and 1 by the time it notices
+  // the LAST tensor's shape is wrong. All shapes must be validated before
+  // any data moves.
   auto params = MakeParams(14);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  ASSERT_TRUE(SaveParams(params, path_).ok());
   auto wrong = MakeParams(15);
   wrong.back() = Tensor::Create(5, 6, true);  // file has 5x5
   const auto before0 = wrong[0]->data();
   const auto before1 = wrong[1]->data();
-  ASSERT_FALSE(LoadParameters(wrong, path_).ok());
+  ASSERT_FALSE(LoadParams(wrong, path_).ok());
   EXPECT_EQ(wrong[0]->data(), before0);
   EXPECT_EQ(wrong[1]->data(), before1);
 }
 
 TEST_F(SerializeTest, LastTensorShapeMismatchFailsForV2Checkpoints) {
-  // Same no-partial-write guarantee on the v2 (checksummed) load path.
-  auto params = MakeParams(16);
-  ASSERT_TRUE(SaveCheckpoint(
-                  [&] {
-                    TrainingCheckpoint ckpt;
-                    ckpt.tensors = params;
-                    return ckpt;
-                  }(),
-                  path_)
-                  .ok());
-  auto wrong = MakeParams(17);
-  wrong.back() = Tensor::Create(5, 6, true);
+  // Same no-partial-write guarantee for a v2 file (the committed fixture
+  // holds a 2x3 and a 1x4 tensor).
+  std::vector<TensorPtr> wrong = {Tensor::Create(2, 3, true),
+                                  Tensor::Create(1, 5, true)};
+  common::Rng rng(17);
+  for (auto& p : wrong) tensor::FillNormal(*p, rng);
   const auto before0 = wrong[0]->data();
   const auto before1 = wrong[1]->data();
-  ASSERT_FALSE(LoadParameters(wrong, path_).ok());
+  ASSERT_FALSE(LoadParams(wrong, testing::V2FixturePath()).ok());
   EXPECT_EQ(wrong[0]->data(), before0);
   EXPECT_EQ(wrong[1]->data(), before1);
+}
+
+TEST_F(SerializeTest, QuantizedRecordFailsWithoutMutation) {
+  // Model parameters are fp32; an int8 record (even of the right shape)
+  // must not be dequantized into them.
+  auto params = MakeParams(18);
+  TrainingCheckpoint ckpt;
+  ckpt.tensors = ParameterRecords(params);
+  auto q = QuantizeTensor(*params[2], TensorDtype::kInt8);
+  ASSERT_TRUE(q.ok());
+  ckpt.tensors[2] = std::move(q).value();
+  ASSERT_TRUE(SaveCheckpoint(ckpt, path_).ok());
+  auto fresh = MakeParams(19);
+  const auto before0 = fresh[0]->data();
+  auto status = LoadParams(fresh, path_);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("int8"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(fresh[0]->data(), before0);
 }
 
 TEST_F(SerializeTest, GarbageFileRejected) {
   std::ofstream(path_) << "definitely not a checkpoint";
   auto params = MakeParams(6);
-  auto status = LoadParameters(params, path_);
+  auto status = LoadParams(params, path_);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), common::StatusCode::kIoError);
 }
 
 TEST_F(SerializeTest, MissingFileRejected) {
   auto params = MakeParams(7);
-  EXPECT_FALSE(LoadParameters(params, path_ + ".nope").ok());
+  EXPECT_FALSE(LoadParams(params, path_ + ".nope").ok());
 }
 
 TEST_F(SerializeTest, TruncatedFileRejectedWithoutMutation) {
   auto params = MakeParams(8);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  ASSERT_TRUE(SaveParams(params, path_).ok());
   // Chop the file mid-way through the last tensor's payload.
   const auto full = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, full - 17);
   auto fresh = MakeParams(9);
   const auto before = fresh[2]->data();
-  auto status = LoadParameters(fresh, path_);
+  auto status = LoadParams(fresh, path_);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), common::StatusCode::kIoError);
-  EXPECT_EQ(fresh[2]->data(), before);  // staged load left params intact
-}
-
-TEST_F(SerializeTest, LoadAllParametersRoundTrip) {
-  auto params = MakeParams(10);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
-  auto loaded = LoadAllParameters(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().size(), params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_EQ(loaded.value()[i]->rows(), params[i]->rows());
-    EXPECT_EQ(loaded.value()[i]->cols(), params[i]->cols());
-    EXPECT_EQ(loaded.value()[i]->data(), params[i]->data());
-  }
-}
-
-TEST_F(SerializeTest, LoadAllParametersRejectsTruncation) {
-  auto params = MakeParams(11);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
-  const auto full = std::filesystem::file_size(path_);
-  for (const auto keep : {full - 3, full / 2, kMagicLenForTest + 4}) {
-    std::filesystem::resize_file(path_, keep);
-    auto loaded = LoadAllParameters(path_);
-    ASSERT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
-  }
-}
-
-TEST_F(SerializeTest, LoadAllParametersRejectsCorruptHeader) {
-  auto params = MakeParams(12);
-  ASSERT_TRUE(SaveParameters(params, path_).ok());
-  // Overwrite the tensor count with an absurd value; the loader must
-  // refuse rather than attempt a giant allocation.
-  std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(static_cast<std::streamoff>(kMagicLenForTest));
-  const int64_t absurd = int64_t{1} << 60;
-  f.write(reinterpret_cast<const char*>(&absurd), sizeof(absurd));
-  f.close();
-  auto loaded = LoadAllParameters(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
-}
-
-TEST_F(SerializeTest, LoadAllParametersRejectsGarbage) {
-  std::ofstream(path_) << "garbage";
-  EXPECT_FALSE(LoadAllParameters(path_).ok());
-  EXPECT_FALSE(LoadAllParameters(path_ + ".nope").ok());
+  EXPECT_EQ(fresh[2]->data(), before);  // params left intact
 }
 
 TEST_F(SerializeTest, FusionModelCheckpointReproducesDecode) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -103,6 +104,58 @@ TEST(BatchQueueTest, BacklogIsCoBatched) {
   // Exactly 64 / 16 drains — deterministic, not a timing-dependent range.
   queue.Shutdown();
   EXPECT_EQ(queue.batches_processed(), 4);
+}
+
+// A query with one NaN or +-Inf coordinate normalizes to all-NaN, which
+// scoring cannot rank; admission must reject it as malformed. The finite
+// queries submitted between them form one full batch (frozen clock,
+// max_batch = their count) and are answered byte-identically to direct
+// retrieval.
+TEST(BatchQueueTest, NonFiniteQueriesAreRejectedAsInvalid) {
+  const int64_t dim = 6;
+  const auto data = RandomRows(48, dim, 31);
+  const auto store = EmbeddingStore::FromRows(48, dim, data);
+  TopKRetriever retriever(&store);
+  common::ManualClock clock;
+  ServeStats stats;
+  BatchQueueOptions options;
+  options.k = 5;
+  options.max_batch = 4;
+  options.max_wait_ms = 20.0;
+  options.clock = &clock;
+  BatchQueue queue(&retriever, options, &stats);
+
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  std::vector<std::vector<float>> finite;
+  std::vector<std::future<TopKResult>> good;
+  std::vector<std::future<TopKResult>> bad;
+  for (int i = 0; i < 4; ++i) {
+    finite.push_back(RandomRows(1, dim, 70 + static_cast<uint64_t>(i)));
+    good.push_back(queue.Submit(finite.back()));
+    if (i < 3) {
+      std::vector<float> query =
+          RandomRows(1, dim, 80 + static_cast<uint64_t>(i));
+      query[static_cast<size_t>(i)] = kBad[i];
+      bad.push_back(queue.Submit(std::move(query)));
+    }
+  }
+  for (auto& f : bad) {
+    const TopKResult result = f.get();
+    EXPECT_EQ(result.status, ServeStatus::kInvalidQuery);
+    EXPECT_TRUE(result.ids.empty());
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    const TopKResult result = good[i].get();
+    const auto direct = retriever.Retrieve(finite[i].data(), 1, 5);
+    EXPECT_EQ(result.status, ServeStatus::kOk);
+    EXPECT_EQ(result.ids, direct[0].ids) << "query " << i;
+    EXPECT_EQ(result.scores, direct[0].scores) << "query " << i;
+  }
+  queue.Shutdown();
+  EXPECT_EQ(queue.batches_processed(), 1);
+  EXPECT_EQ(stats.Snapshot().rejected_invalid, 3);
 }
 
 // The max_wait_ms contract on a ManualClock, with no real sleeps: a

@@ -10,7 +10,7 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
-#include "nn/serialize.h"
+#include "nn/checkpoint.h"
 #include "serve/stats.h"
 #include "tensor/tensor.h"
 
@@ -75,7 +75,9 @@ TEST_F(EmbeddingStoreTest, SaveLoadRoundTripIsExact) {
 TEST_F(EmbeddingStoreTest, LoadSelectsTensorByIndex) {
   auto a = Tensor::FromData(1, 2, {1.0f, 0.0f});
   auto b = Tensor::FromData(2, 2, {0.0f, 1.0f, 1.0f, 0.0f});
-  ASSERT_TRUE(nn::SaveParameters({a, b}, path_).ok());
+  nn::TrainingCheckpoint ckpt;
+  ckpt.tensors = nn::ParameterRecords({a, b});
+  ASSERT_TRUE(nn::SaveCheckpoint(ckpt, path_).ok());
   auto second = EmbeddingStore::Load(path_, 1);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().size(), 2);

@@ -18,14 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "nn/checkpoint.h"
 #include "nn/quant.h"
 #include "serve/embedding_store.h"
 #include "serve/row_source.h"
 #include "serve/scoring.h"
 #include "serve/topk.h"
 #include "tensor/kernels/dispatch.h"
-#include "tensor/tensor.h"
+#include "testing/v2_fixture.h"
 
 namespace desalign::serve {
 namespace {
@@ -428,39 +427,42 @@ TEST(RowSourceTest, SnapshotSourceExactModeMatchesTrueFp32BruteForce) {
 
 TEST_F(QuantStoreTest, CheckpointSourceReadsRowsBitExactly) {
   const auto store = MakeStore(300, 20, 23);
-  const std::string v2_path = Path("fp32_v2");
-  ASSERT_TRUE(store.Save(v2_path).ok());
-
-  // A v3 file whose tensor 0 is an fp32 record exercises the other header
-  // layout the source understands.
-  const EmbeddingSnapshot snap = store.Snapshot();
-  nn::TrainingCheckpoint ckpt;
-  auto q = nn::QuantizeTensor(
-      *tensor::Tensor::FromData(300, 20, snap.data()),
-      TensorDtype::kFloat32);
-  ASSERT_TRUE(q.ok());
-  ckpt.quant_tensors.push_back(std::move(q).value());
   const std::string v3_path = Path("fp32_v3");
-  ASSERT_TRUE(nn::SaveCheckpoint(ckpt, v3_path).ok());
+  ASSERT_TRUE(store.Save(v3_path).ok());
+  const EmbeddingSnapshot snap = store.Snapshot();
 
-  for (const std::string& path : {v2_path, v3_path}) {
-    auto opened = CheckpointRowSource::Open(path);
-    ASSERT_TRUE(opened.ok()) << path << ": " << opened.status().ToString();
-    const CheckpointRowSource source = std::move(opened).value();
-    ASSERT_EQ(source.rows(), 300);
-    ASSERT_EQ(source.dim(), 20);
-    std::vector<float> row(20);
-    for (const int64_t i : {int64_t{0}, int64_t{150}, int64_t{299}}) {
-      ASSERT_TRUE(source.Row(i, row.data()));
-      for (int64_t j = 0; j < 20; ++j) {
-        ASSERT_EQ(row[static_cast<size_t>(j)], snap.row(i)[j])
-            << path << " row " << i << " col " << j;
-      }
+  auto opened = CheckpointRowSource::Open(v3_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const CheckpointRowSource source = std::move(opened).value();
+  ASSERT_EQ(source.rows(), 300);
+  ASSERT_EQ(source.dim(), 20);
+  std::vector<float> row(20);
+  for (const int64_t i : {int64_t{0}, int64_t{150}, int64_t{299}}) {
+    ASSERT_TRUE(source.Row(i, row.data()));
+    for (int64_t j = 0; j < 20; ++j) {
+      ASSERT_EQ(row[static_cast<size_t>(j)], snap.row(i)[j])
+          << "row " << i << " col " << j;
     }
-    // Out-of-range fetches fail instead of reading a neighbor's bytes.
-    EXPECT_FALSE(source.Row(-1, row.data()));
-    EXPECT_FALSE(source.Row(300, row.data()));
   }
+  // Out-of-range fetches fail instead of reading a neighbor's bytes.
+  EXPECT_FALSE(source.Row(-1, row.data()));
+  EXPECT_FALSE(source.Row(300, row.data()));
+
+  // A v2 file (the committed fixture, tensor 0 a 2x3 fp32 record)
+  // exercises the other record layout the source reads.
+  auto v2 = CheckpointRowSource::Open(testing::V2FixturePath());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_EQ(v2.value().rows(), 2);
+  ASSERT_EQ(v2.value().dim(), 3);
+  const std::vector<float> want =
+      testing::V2FixtureExpected().tensors[0].f32;
+  for (int64_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(v2.value().Row(i, row.data()));
+    EXPECT_EQ(std::vector<float>(row.begin(), row.begin() + 3),
+              std::vector<float>(want.begin() + i * 3,
+                                 want.begin() + (i + 1) * 3));
+  }
+  EXPECT_FALSE(v2.value().Row(2, row.data()));
 }
 
 TEST_F(QuantStoreTest, CheckpointBackedExactRerankMatchesFp32BruteForce) {

@@ -727,7 +727,8 @@ FALLIBLE_CALLS = {
     "SaveCheckpoint": "nn::SaveCheckpoint (common::Status)",
     "LoadCheckpoint": "nn::LoadCheckpoint (common::Result)",
     "LoadLatestValid": "CheckpointManager::LoadLatestValid (common::Result)",
-    "LoadAllParameters": "nn::LoadAllParameters (common::Status)",
+    "RestoreParameters": "nn::RestoreParameters (common::Status)",
+    "LocateFirstRecord": "nn::LocateFirstRecord (common::Result)",
     "Quantize": "EmbeddingStore::Quantize (common::Result)",
     "QuantizeTensor": "nn::QuantizeTensor (common::Result)",
     "QuantizeRow": "nn::quant::QuantizeRow (common::Status)",
