@@ -10,25 +10,12 @@ namespace ops = desalign::tensor;
 TensorPtr ContrastiveAlignmentLoss(const TensorPtr& z1, const TensorPtr& z2,
                                    float tau,
                                    const TensorPtr& pair_weights) {
-  DESALIGN_CHECK_EQ(z1->rows(), z2->rows());
-  DESALIGN_CHECK_EQ(z1->cols(), z2->cols());
   DESALIGN_CHECK_GT(tau, 0.0f);
-  auto z1n = ops::RowL2Normalize(z1);
-  auto z2n = ops::RowL2Normalize(z2);
-  auto logits =
-      ops::Scale(ops::MatMul(z1n, ops::Transpose(z2n)), 1.0f / tau);
-  // p(e1_i -> e2_i) and p(e2_i -> e1_i): the same matrix read row-wise and
-  // column-wise.
-  auto fwd = ops::Neg(ops::TakeDiag(ops::RowLogSoftmax(logits)));
-  auto bwd =
-      ops::Neg(ops::TakeDiag(ops::RowLogSoftmax(ops::Transpose(logits))));
-  auto per_pair = ops::Scale(ops::Add(fwd, bwd), 0.5f);
-  if (pair_weights) {
-    DESALIGN_CHECK_EQ(pair_weights->rows(), z1->rows());
-    DESALIGN_CHECK_EQ(pair_weights->cols(), 1);
-    per_pair = ops::Mul(per_pair, pair_weights);
-  }
-  return ops::Mean(per_pair);
+  // p(e1_i -> e2_i) and p(e2_i -> e1_i) are the rows and the columns of one
+  // logit matrix; the fused op reads it both ways.
+  return ops::BidirectionalInfoNce(ops::RowL2Normalize(z1),
+                                   ops::RowL2Normalize(z2), tau,
+                                   pair_weights);
 }
 
 TensorPtr MarginAlignmentLoss(const TensorPtr& z1, const TensorPtr& z2,

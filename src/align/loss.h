@@ -12,7 +12,9 @@ using tensor::TensorPtr;
 /// with row i of z2); every other in-batch row acts as a negative.
 /// `pair_weights` (optional, B x 1, treated as constants) carries the
 /// min-confidence values φ_m; null means uniform weights.
-/// Returns a differentiable scalar.
+/// Returns a differentiable scalar: one tensor::BidirectionalInfoNce node
+/// over the l2-normalized rows, which keeps a single B x B buffer alive
+/// until backward.
 TensorPtr ContrastiveAlignmentLoss(const TensorPtr& z1, const TensorPtr& z2,
                                    float tau,
                                    const TensorPtr& pair_weights = nullptr);

@@ -1,12 +1,26 @@
 #include "align/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
 #include "tensor/ops.h"
 
 namespace desalign::align {
+
+namespace {
+
+// Descending score order with NaN below every number, so a NaN score ranks
+// last. It is a strict weak order even with NaN (`std::greater` is not), and
+// on NaN-free input it answers exactly as `a > b`, so selections make the
+// same moves as with `std::greater`. A closure, not a function, so that
+// std::nth_element inlines it.
+constexpr auto kScoresAbove = [](float a, float b) {
+  return a > b || (std::isnan(b) && !std::isnan(a));
+};
+
+}  // namespace
 
 RankingMetrics MetricsFromSimilarity(const Tensor& sim) {
   DESALIGN_CHECK_EQ(sim.rows(), sim.cols());
@@ -16,8 +30,16 @@ RankingMetrics MetricsFromSimilarity(const Tensor& sim) {
   for (int64_t i = 0; i < n; ++i) {
     const float truth = sim.At(i, i);
     int64_t rank = 1;
-    for (int64_t j = 0; j < n; ++j) {
-      if (j != i && sim.At(i, j) > truth) ++rank;
+    // kScoresAbove(x, truth), with the NaN test on the truth hoisted out
+    // of the loop so the common case stays one compare per score.
+    if (std::isnan(truth)) {
+      for (int64_t j = 0; j < n; ++j) {
+        if (j != i && !std::isnan(sim.At(i, j))) ++rank;
+      }
+    } else {
+      for (int64_t j = 0; j < n; ++j) {
+        if (j != i && sim.At(i, j) > truth) ++rank;
+      }
     }
     if (rank <= 1) m.h_at_1 += 1.0;
     if (rank <= 5) m.h_at_5 += 1.0;
@@ -51,7 +73,7 @@ void ApplyCsls(Tensor& sim, int k) {
   for (int64_t i = 0; i < n; ++i) {
     buf.assign(sim.data().begin() + i * m, sim.data().begin() + (i + 1) * m);
     std::nth_element(buf.begin(), buf.begin() + (kk - 1), buf.end(),
-                     std::greater<float>());
+                     kScoresAbove);
     float acc = 0.0f;
     for (int64_t j = 0; j < kk; ++j) acc += buf[j];
     row_mean[i] = acc / static_cast<float>(kk);
@@ -60,7 +82,7 @@ void ApplyCsls(Tensor& sim, int k) {
     buf.resize(n);
     for (int64_t i = 0; i < n; ++i) buf[i] = sim.At(i, j);
     std::nth_element(buf.begin(), buf.begin() + (kk - 1), buf.end(),
-                     std::greater<float>());
+                     kScoresAbove);
     float acc = 0.0f;
     for (int64_t i = 0; i < kk; ++i) acc += buf[i];
     col_mean[j] = acc / static_cast<float>(kk);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hot.h"
 #include "serve/scoring.h"
 
 namespace desalign::index {
@@ -11,12 +12,10 @@ namespace desalign::index {
 namespace {
 
 // The hot loop of both k-means training and IVF cell assignment. Its
-// speed swings by up to 40 % with where the loop falls relative to 32-byte
-// code boundaries, which edits anywhere else in the binary shift; pinning
-// the function to a cache line keeps its layout, and so the IVF build
-// time, independent of unrelated code.
-[[gnu::aligned(64)]] int64_t NearestOf(const float* x, const float* centroids,
-                                       int64_t k, int64_t dim) {
+// speed swings by up to 40 % with its code placement (common/hot.h), so
+// it is pinned to keep the IVF build time independent of unrelated code.
+DESALIGN_HOT int64_t NearestOf(const float* x, const float* centroids,
+                               int64_t k, int64_t dim) {
   int64_t best = 0;
   float best_dist = serve::scoring::SquaredL2(x, centroids, dim);
   for (int64_t c = 1; c < k; ++c) {

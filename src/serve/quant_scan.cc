@@ -1,5 +1,6 @@
 #include <cmath>
 
+#include "common/hot.h"
 #include "nn/quant.h"
 #include "serve/quant_scan_internal.h"
 #include "serve/scoring.h"
@@ -7,7 +8,7 @@
 
 namespace desalign::serve::scoring {
 
-int32_t DotI8(const int8_t* a, const int8_t* b, int64_t d) {
+DESALIGN_HOT int32_t DotI8(const int8_t* a, const int8_t* b, int64_t d) {
 #if DESALIGN_SERVE_HAVE_AVX2
   if (tensor::kernels::ActiveIsa() == tensor::kernels::IsaLevel::kAvx2) {
     return internal::DotI8Avx2(a, b, d);

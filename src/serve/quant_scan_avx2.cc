@@ -5,6 +5,7 @@
 // lane-independence argument is needed: integer addition is associative and
 // the result is bit-identical to the scalar loop by construction.
 
+#include "common/hot.h"
 #include "serve/quant_scan_internal.h"
 
 #if DESALIGN_SERVE_HAVE_AVX2
@@ -16,7 +17,8 @@
 
 namespace desalign::serve::scoring::internal {
 
-int32_t DotI8Avx2(const int8_t* a, const int8_t* b, int64_t d) {
+DESALIGN_HOT int32_t DotI8Avx2(const int8_t* a, const int8_t* b,
+                               int64_t d) {
   __m256i acc = _mm256_setzero_si256();
   int64_t c = 0;
   for (; c + 16 <= d; c += 16) {

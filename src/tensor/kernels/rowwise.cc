@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
+#include "common/hot.h"
 #include "common/thread_pool.h"
 #include "tensor/kernels/internal.h"
 
@@ -185,6 +187,63 @@ void RowLogSoftmaxGrad(const float* y, const float* g, float* out, int64_t n,
       for (int64_t j = 0; j < c; ++j) {
         const float sm = std::exp(yr[j]);
         or_[j] += gr[j] - sm * gsum;
+      }
+    }
+  });
+}
+
+DESALIGN_HOT void InfoNceLogSumExp(float* s, float inv_tau, float* row_logz,
+                                   float* col_logz, int64_t n) {
+  ParallelRows(n, n * 8, [&](int64_t rb, int64_t re) {
+    for (int64_t r = rb; r < re; ++r) {
+      float* sr = s + r * n;
+      float mx = -std::numeric_limits<float>::infinity();
+      for (int64_t j = 0; j < n; ++j) {
+        sr[j] = inv_tau * sr[j];
+        mx = std::max(mx, sr[j]);
+      }
+      float denom = 0.0f;
+      for (int64_t j = 0; j < n; ++j) denom += std::exp(sr[j] - mx);
+      row_logz[r] = mx + std::log(denom);
+    }
+  });
+  // Column j is row j of the transposed matrix the unfused loss
+  // soft-maxed, so its max and sum run over ascending rows; col_logz holds
+  // the running maxima until the sums are done.
+  ParallelCols(n, n * 8, [&](int64_t jb, int64_t je) {
+    float* mx = col_logz + jb;
+    const int64_t w = je - jb;
+    std::vector<float> denom(static_cast<size_t>(w), 0.0f);
+    for (int64_t j = 0; j < w; ++j) {
+      mx[j] = -std::numeric_limits<float>::infinity();
+    }
+    for (int64_t r = 0; r < n; ++r) {
+      const float* sr = s + r * n + jb;
+      for (int64_t j = 0; j < w; ++j) mx[j] = std::max(mx[j], sr[j]);
+    }
+    for (int64_t r = 0; r < n; ++r) {
+      const float* sr = s + r * n + jb;
+      for (int64_t j = 0; j < w; ++j) denom[j] += std::exp(sr[j] - mx[j]);
+    }
+    for (int64_t j = 0; j < w; ++j) mx[j] = mx[j] + std::log(denom[j]);
+  });
+}
+
+DESALIGN_HOT void InfoNceLogitsGrad(float* s, const float* row_logz,
+                                    const float* col_logz, const float* seed,
+                                    float inv_tau, int64_t n) {
+  ParallelRows(n, n * 16, [&](int64_t rb, int64_t re) {
+    for (int64_t r = rb; r < re; ++r) {
+      float* sr = s + r * n;
+      const float lr = row_logz[r];
+      const float cr = seed[r];
+      for (int64_t j = 0; j < n; ++j) {
+        // The unfused log-softmax gradients see a one-hot upstream row, so
+        // their row sum is the seed itself.
+        const float g = j == r ? cr : 0.0f;
+        const float f = g - std::exp(sr[j] - lr) * cr;
+        const float b = g - std::exp(sr[j] - col_logz[j]) * seed[j];
+        sr[j] = 0.0f + inv_tau * ((0.0f + b) + f);
       }
     }
   });

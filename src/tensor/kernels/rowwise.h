@@ -63,6 +63,25 @@ void RowLogSoftmax(const float* a, float* y, int64_t n, int64_t c);
 void RowLogSoftmaxGrad(const float* y, const float* g, float* out, int64_t n,
                        int64_t c);
 
+// ---- Fused bidirectional contrastive loss (ops::BidirectionalInfoNce) ----
+// s (n x n) holds the raw logits on entry and inv_tau * logits on exit
+// (`inv_tau * x`, as Scale computes it). row_logz[r] and col_logz[j] get the
+// log-sum-exp of row r and of column j of the scaled matrix, each with
+// RowLogSoftmax's float expressions in ascending index order: the rows are
+// row-partitioned, the columns column-partitioned over ascending rows.
+void InfoNceLogSumExp(float* s, float inv_tau, float* row_logz,
+                      float* col_logz, int64_t n);
+// Overwrites the scaled logits s with the gradient of the raw logits. `seed`
+// is the per-pair upstream gradient of each diagonal log-probability (the
+// same value for both directions); element (r, j) becomes
+//   0 + inv_tau * ((0 + b) + f),
+//   f = [j == r] seed[r] - exp(s[r,j] - row_logz[r]) * seed[r],
+//   b = [j == r] seed[j] - exp(s[r,j] - col_logz[j]) * seed[j],
+// which is what RowLogSoftmaxGrad, TransposeAcc and Scale's backward leave
+// in zeroed gradient buffers for the unfused composition.
+void InfoNceLogitsGrad(float* s, const float* row_logz, const float* col_logz,
+                       const float* seed, float inv_tau, int64_t n);
+
 // ---- Normalization ----
 // norms[r] = sqrt(sum_j a[r,j]^2 + eps) (double accumulation), y = a / norm.
 void RowL2Normalize(const float* a, float eps, float* y, float* norms,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/hot.h"
 #include "common/thread_pool.h"
 #include "tensor/kernels/buffer_pool.h"
 #include "tensor/kernels/elementwise.h"
@@ -32,8 +33,9 @@ constexpr int64_t kNc = 2048; // N block: a B panel is at most 2 MB (L2/L3)
 // round(mul) and round(add), optional zero-skip — is exactly the vector
 // kernel's and the reference's.
 template <bool kSkipZeroA>
-void MicroScalar(const float* ap, const float* bp, float* c, int64_t ldc,
-                 int64_t kc, int64_t rows, int64_t cols) {
+DESALIGN_HOT void MicroScalar(const float* ap, const float* bp, float* c,
+                              int64_t ldc, int64_t kc, int64_t rows,
+                              int64_t cols) {
   for (int64_t p = 0; p < kc; ++p) {
     const float* brow = bp + p * cols;
     const float* acol = ap + p * rows;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/hot.h"
 #include "tensor/kernels/internal.h"
 
 #if DESALIGN_KERNELS_HAVE_AVX2
@@ -79,8 +80,9 @@ inline void Micro8x8(const float* __restrict__ ap,
 
 }  // namespace
 
-void MicroKernel8x8Avx2(const float* ap, const float* bp, float* c,
-                        int64_t ldc, int64_t kc, bool skip_zero_a) {
+DESALIGN_HOT void MicroKernel8x8Avx2(const float* ap, const float* bp,
+                                     float* c, int64_t ldc, int64_t kc,
+                                     bool skip_zero_a) {
   if (skip_zero_a) {
     Micro8x8<true>(ap, bp, c, ldc, kc);
   } else {

@@ -577,6 +577,89 @@ TensorPtr SegmentSoftmax(const TensorPtr& scores,
   return out;
 }
 
+TensorPtr BidirectionalInfoNce(const TensorPtr& a, const TensorPtr& b,
+                               float tau, const TensorPtr& weights) {
+  CheckSameShape(a, b);
+  const int64_t n = a->rows();
+  const int64_t d = a->cols();
+  const float* w = nullptr;
+  if (weights) {
+    DESALIGN_CHECK_EQ(weights->rows(), n);
+    DESALIGN_CHECK_EQ(weights->cols(), 1);
+    DESALIGN_CHECK_MSG(!weights->NeedsGrad(),
+                       "BidirectionalInfoNce weights are constants");
+    w = weights->data().data();
+  }
+  const float inv_tau = 1.0f / tau;
+  // The only N x N buffer: raw logits, then scaled logits until backward
+  // overwrites them with their own gradient.
+  kernels::PooledBuffer logits(static_cast<size_t>(n * n), /*zero=*/false);
+  {
+    kernels::PooledBuffer bt(static_cast<size_t>(d * n), /*zero=*/false);
+    kernels::Transpose(b->data().data(), bt.data(), n, d);
+    kernels::MatMul(a->data().data(), bt.data(), logits.data(), n, d, n);
+  }
+  kernels::PooledBuffer row_logz(static_cast<size_t>(n), /*zero=*/false);
+  kernels::PooledBuffer col_logz(static_cast<size_t>(n), /*zero=*/false);
+  kernels::InfoNceLogSumExp(logits.data(), inv_tau, row_logz.data(),
+                            col_logz.data(), n);
+  // The per-pair terms and their mean, in the unfused ops' order and
+  // precision: Neg, Add, Scale(0.5), Mul, then Sum's double accumulator.
+  double acc = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float diag = logits.data()[i * n + i];
+    const float fwd = -1.0f * (diag - row_logz.data()[i]);
+    const float bwd = -1.0f * (diag - col_logz.data()[i]);
+    float pair = 0.5f * (fwd + bwd);
+    if (w != nullptr) pair = pair * w[i];
+    acc += pair;
+  }
+  const float inv_n = 1.0f / static_cast<float>(n);
+  auto out = Tensor::CreateUninitialized(1, 1);
+  out->data()[0] = inv_n * static_cast<float>(acc);
+
+  Tensor* ap = a.get();
+  Tensor* bp = b.get();
+  Tensor* op = out.get();
+  std::vector<TensorPtr> parents = {a, b};
+  if (weights) parents.push_back(weights);
+  out->SetBackward(
+      std::move(parents),
+      [ap, bp, op, w, n, d, inv_tau, inv_n, logits = std::move(logits),
+       row_logz = std::move(row_logz),
+       col_logz = std::move(col_logz)]() mutable {
+        // Replays the unfused backward seed chain per pair: each gradient
+        // buffer starts at +0.0, so every step is `0 + expr` (which turns
+        // a -0.0 into +0.0 exactly as the tape does): Mean's Scale, Sum,
+        // Mul, Scale(0.5), Add, Neg, TakeDiag.
+        const float g_sum = 0.0f + inv_n * op->grad()[0];
+        kernels::PooledBuffer seed(static_cast<size_t>(n), /*zero=*/false);
+        for (int64_t i = 0; i < n; ++i) {
+          float g = 0.0f + g_sum;
+          if (w != nullptr) g = 0.0f + g * w[i];
+          const float g_pair = 0.0f + 0.5f * g;
+          const float g_diag = 0.0f + -1.0f * (0.0f + g_pair);
+          seed.data()[i] = 0.0f + g_diag;
+        }
+        kernels::InfoNceLogitsGrad(logits.data(), row_logz.data(),
+                                   col_logz.data(), seed.data(), inv_tau, n);
+        const float* g = logits.data();
+        if (ap->NeedsGrad()) {
+          kernels::PooledBuffer bt(static_cast<size_t>(d * n),
+                                   /*zero=*/false);
+          kernels::Transpose(bp->data().data(), bt.data(), n, d);
+          kernels::MatMulGradA(g, bt.data(), ap->grad().data(), n, d, n);
+        }
+        if (bp->NeedsGrad()) {
+          kernels::PooledBuffer gbt(static_cast<size_t>(d * n),
+                                    /*zero=*/true);
+          kernels::MatMulGradB(g, ap->data().data(), gbt.data(), n, d, n);
+          kernels::TransposeAcc(gbt.data(), bp->grad().data(), n, d);
+        }
+      });
+  return out;
+}
+
 TensorPtr Sum(const TensorPtr& a) {
   auto out = Tensor::CreateUninitialized(1, 1);
   double acc = 0.0;

@@ -87,6 +87,17 @@ TensorPtr RowLogSoftmax(const TensorPtr& a);
 TensorPtr SegmentSoftmax(const TensorPtr& scores,
                          const std::vector<int64_t>& segments,
                          int64_t num_segments);
+/// Bidirectional in-batch softmax cross-entropy with the diagonal as the
+/// targets, in one node: with logits L = (a bᵀ) / tau (a, b are N x D),
+///   mean_i( w_i * 0.5 * (−log_softmax_row(L)[i,i] − log_softmax_col(L)[i,i]) ).
+/// Bit-identical in value and gradients to composing MatMul, Transpose,
+/// Scale, RowLogSoftmax in both directions, TakeDiag, Neg, Add, Scale, Mul
+/// and Mean, but keeps one N x N buffer alive until backward instead of
+/// about ten. `weights` (N x 1, optional) is a constant: it must not need a
+/// gradient.
+TensorPtr BidirectionalInfoNce(const TensorPtr& a, const TensorPtr& b,
+                               float tau,
+                               const TensorPtr& weights = nullptr);
 
 // ---- Reductions ----
 

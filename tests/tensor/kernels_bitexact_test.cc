@@ -4,7 +4,9 @@
 // ISA level the CPU supports and under multi-chunk parallel partitioning
 // (4 threads with the grain forced to 1 so even 1x1 shapes split). Shapes
 // deliberately include empty, single-row, single-column and 63/65-wide
-// cases to hit vector-width remainders on both sides.
+// cases to hit vector-width remainders on both sides. The fused contrastive
+// loss is checked the same way against the unfused op composition it
+// replaced.
 
 #include <cstring>
 #include <functional>
@@ -12,13 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include "align/loss.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "tensor/kernels/buffer_pool.h"
 #include "tensor/kernels/dispatch.h"
 #include "tensor/kernels/elementwise.h"
 #include "tensor/kernels/gemm.h"
 #include "tensor/kernels/reference.h"
 #include "tensor/kernels/rowwise.h"
+#include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace desalign::tensor::kernels {
 namespace {
@@ -579,6 +585,142 @@ TEST(KernelsBitExactTest, MatMulForwardAndBackward) {
         },
         base_gb);
   }
+}
+
+// ---- Fused contrastive loss ----
+
+// The unfused tape align::ContrastiveAlignmentLoss was built from before it
+// became one node; the fused node must reproduce its loss and gradients
+// bit for bit.
+TensorPtr TapeContrastiveLoss(const TensorPtr& z1, const TensorPtr& z2,
+                              float tau, const TensorPtr& pair_weights) {
+  auto z1n = tensor::RowL2Normalize(z1);
+  auto z2n = tensor::RowL2Normalize(z2);
+  auto logits = tensor::Scale(
+      tensor::MatMul(z1n, tensor::Transpose(z2n)), 1.0f / tau);
+  auto fwd = tensor::Neg(tensor::TakeDiag(tensor::RowLogSoftmax(logits)));
+  auto bwd = tensor::Neg(tensor::TakeDiag(
+      tensor::RowLogSoftmax(tensor::Transpose(logits))));
+  auto per_pair = tensor::Scale(tensor::Add(fwd, bwd), 0.5f);
+  if (pair_weights) per_pair = tensor::Mul(per_pair, pair_weights);
+  return tensor::Mean(per_pair);
+}
+
+struct LossRun {
+  std::vector<float> loss;  // one value; a vector so it memcmps like grads
+  std::vector<float> grad_z1;
+  std::vector<float> grad_z2;
+};
+
+// Runs one forward and backward. With `mixed` set the loss is scaled by a
+// negative factor and summed with another term that also reaches z1, so
+// the node sees a non-unit upstream gradient and z1's gradient accumulates
+// from two paths in the tape's order.
+LossRun RunContrastive(bool fused, const std::vector<float>& z1_data,
+                       const std::vector<float>& z2_data, int64_t n,
+                       int64_t d, const std::vector<float>* weights,
+                       bool mixed) {
+  auto z1 = Tensor::FromData(n, d, z1_data, /*requires_grad=*/true);
+  auto z2 = Tensor::FromData(n, d, z2_data, /*requires_grad=*/true);
+  TensorPtr w;
+  if (weights != nullptr) w = Tensor::FromData(n, 1, *weights);
+  const float tau = 0.1f;
+  auto loss = fused ? align::ContrastiveAlignmentLoss(z1, z2, tau, w)
+                    : TapeContrastiveLoss(z1, z2, tau, w);
+  TensorPtr root = loss;
+  if (mixed) {
+    root = tensor::Add(tensor::Scale(loss, -0.37f),
+                       tensor::SumSquares(tensor::Scale(z1, 0.01f)));
+  }
+  root->Backward();
+  return {{loss->ScalarValue()}, z1->grad(), z2->grad()};
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const char* what,
+                    const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << what << " " << where;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what << " diverged from the unfused tape at " << where;
+}
+
+TEST(FusedContrastiveLossTest, BitExactAgainstUnfusedTape) {
+  common::Rng rng(109);
+  const int64_t batches[] = {1, 2, 7, 64, 257};
+  const int64_t dims[] = {1, 3, 32, 128};
+  struct Config {
+    IsaLevel isa;
+    int threads;
+  };
+  std::vector<Config> configs = {
+      {IsaLevel::kScalar, 1}, {IsaLevel::kScalar, 2}, {IsaLevel::kScalar, 4}};
+  if (CpuSupportsAvx2()) {
+    configs.push_back({IsaLevel::kAvx2, 1});
+    configs.push_back({IsaLevel::kAvx2, 2});
+    configs.push_back({IsaLevel::kAvx2, 4});
+  }
+  for (int64_t n : batches) {
+    for (int64_t d : dims) {
+      const size_t nd = static_cast<size_t>(n * d);
+      auto z1 = RandomVec(rng, nd);
+      auto z2 = RandomVec(rng, nd);
+      // Paired rows share a component so the diagonal stands out, as after
+      // some training; a zero weight exercises the signed-zero seed chain.
+      for (size_t i = 0; i < nd; ++i) z2[i] = 0.5f * z2[i] + z1[i];
+      auto weights = RandomVec(rng, static_cast<size_t>(n), 0.2f, 2.0f);
+      weights[0] = 0.0f;
+      for (bool weighted : {false, true}) {
+        for (bool mixed : {false, true}) {
+          const std::vector<float>* w = weighted ? &weights : nullptr;
+          const LossRun want =
+              RunContrastive(/*fused=*/false, z1, z2, n, d, w, mixed);
+          for (const auto& config : configs) {
+            common::ThreadPool::SetGlobalThreadCount(config.threads);
+            SetForcedGrainForTesting(config.threads > 1 ? 1 : 0);
+            SetIsaOverride(config.isa);
+            const LossRun got =
+                RunContrastive(/*fused=*/true, z1, z2, n, d, w, mixed);
+            SetIsaOverride(IsaLevel::kScalar, /*has_override=*/false);
+            SetForcedGrainForTesting(0);
+            common::ThreadPool::SetGlobalThreadCount(0);
+            const std::string where =
+                "B=" + std::to_string(n) + " d=" + std::to_string(d) +
+                (weighted ? " weighted" : "") + (mixed ? " mixed" : "") +
+                " " + IsaName(config.isa) + " @" +
+                std::to_string(config.threads) + " threads";
+            ExpectSameBits(got.loss, want.loss, "loss", where);
+            ExpectSameBits(got.grad_z1, want.grad_z1, "grad z1", where);
+            ExpectSameBits(got.grad_z2, want.grad_z2, "grad z2", where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedContrastiveLossTest, TapeKeepsOneBatchSquaredBuffer) {
+  // At B = 512 a B x B float buffer fills exactly one 1 MiB pool bucket.
+  // The unfused tape cached about ten of them (five activations, five
+  // gradients); the fused node needs the logit matrix and the GEMM's
+  // packing workspace, each at most one such bucket.
+  const int64_t n = 512;
+  const int64_t d = 32;
+  auto& pool = BufferPool::Global();
+  ASSERT_TRUE(pool.enabled());
+  pool.Clear();
+  {
+    common::Rng rng(110);
+    auto z1 = Tensor::FromData(n, d, RandomVec(rng, n * d), true);
+    auto z2 = Tensor::FromData(n, d, RandomVec(rng, n * d), true);
+    auto loss = align::ContrastiveAlignmentLoss(z1, z2, 0.1f);
+    loss->Backward();
+  }
+  const int64_t square_bucket = int64_t{1} << 20;     // n * n floats
+  const int64_t row_bucket = int64_t{64} << 10;       // n * d floats
+  const int64_t bound = 3 * square_bucket + 16 * row_bucket;
+  EXPECT_LE(pool.GetStats().cached_bytes, bound);
+  pool.Clear();
 }
 
 }  // namespace
